@@ -1,11 +1,18 @@
 #!/usr/bin/env bash
-# Produce a CPU flamegraph of the event-engine hot path for the CI
-# artifact (and for local perf work).
+# Produce a CPU flamegraph of a simulator run for the CI artifact (and
+# for local perf work).
 #
-# Usage: scripts/make_flamegraph.sh [BINARY [OUTDIR]]
+# Usage: scripts/make_flamegraph.sh [-o OUTDIR] [COMMAND [ARGS...]]
 #
-#   BINARY  defaults to ./build/bench_event_engine
-#   OUTDIR  defaults to bench-out
+#   OUTDIR   defaults to bench-out
+#   COMMAND  the full command line to profile, run as given; defaults
+#            to ./build/bench_event_engine --fast. Profile a shipped
+#            config to rank the frames of the real packet path, e.g.
+#              scripts/make_flamegraph.sh -o bench-out \
+#                ./build/powertcp_run --threads=1 configs/fig6_quick.toml
+#
+# Output files are named after the command's binary: NAME_flame.svg,
+# or NAME_profile.txt from the text fallbacks.
 #
 # Strategy, best first, falling through gracefully:
 #   1. perf record -g + flamegraph.pl (or inferno-flamegraph) -> SVG
@@ -18,8 +25,20 @@
 # uploads whatever landed in OUTDIR.
 set -u
 
-BIN="${1:-./build/bench_event_engine}"
-OUT="${2:-bench-out}"
+OUT="bench-out"
+if [ "${1:-}" = "-o" ]; then
+  if [ $# -lt 2 ]; then
+    echo "make_flamegraph: -o needs a directory; skipping" >&2
+    exit 0
+  fi
+  OUT="$2"
+  shift 2
+fi
+if [ $# -eq 0 ]; then
+  set -- ./build/bench_event_engine --fast
+fi
+BIN="$1"
+NAME="$(basename "$BIN")"
 mkdir -p "$OUT"
 
 if [ ! -x "$BIN" ]; then
@@ -38,22 +57,21 @@ for cand in flamegraph.pl inferno-flamegraph; do
 done
 
 if have perf; then
-  # --fast keeps the profiled run a few seconds long.
   if perf record -g --output="$OUT/perf.data" -- \
-    "$BIN" --fast > /dev/null 2> "$OUT/perf_record.log"; then
+    "$@" > /dev/null 2> "$OUT/perf_record.log"; then
     if [ -n "$flamegraph_tool" ] && have stackcollapse-perf.pl; then
       perf script --input="$OUT/perf.data" \
         | stackcollapse-perf.pl \
-        | "$flamegraph_tool" --title "bench_event_engine" \
-          > "$OUT/event_engine_flame.svg" \
-        && echo "make_flamegraph: wrote $OUT/event_engine_flame.svg" \
+        | "$flamegraph_tool" --title "$*" \
+          > "$OUT/${NAME}_flame.svg" \
+        && echo "make_flamegraph: wrote $OUT/${NAME}_flame.svg" \
         && rm -f "$OUT/perf.data" \
         && exit 0
     fi
     if perf report --stdio --input="$OUT/perf.data" \
-      > "$OUT/event_engine_profile.txt" 2>> "$OUT/perf_record.log"; then
+      > "$OUT/${NAME}_profile.txt" 2>> "$OUT/perf_record.log"; then
       echo "make_flamegraph: no flamegraph.pl; wrote folded profile" \
-        "$OUT/event_engine_profile.txt"
+        "$OUT/${NAME}_profile.txt"
       rm -f "$OUT/perf.data"
       exit 0
     fi
@@ -65,10 +83,10 @@ fi
 if have gprofng; then
   rm -rf "$OUT/gprofng.er"
   if gprofng collect app -o "$OUT/gprofng.er" \
-    "$BIN" --fast > /dev/null 2> "$OUT/gprofng.log"; then
+    "$@" > /dev/null 2> "$OUT/gprofng.log"; then
     gprofng display text -functions "$OUT/gprofng.er" \
-      > "$OUT/event_engine_profile.txt" 2>> "$OUT/gprofng.log" \
-      && echo "make_flamegraph: wrote $OUT/event_engine_profile.txt" \
+      > "$OUT/${NAME}_profile.txt" 2>> "$OUT/gprofng.log" \
+      && echo "make_flamegraph: wrote $OUT/${NAME}_profile.txt" \
         "(gprofng fallback)" \
       && rm -rf "$OUT/gprofng.er" \
       && exit 0

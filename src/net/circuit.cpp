@@ -77,14 +77,14 @@ EgressPort::SelectResult CircuitPort::try_select() {
     return out;
   }
   const int peer = schedule_->active_peer(my_tor_, now);
-  const Packet* next = voqs_->peek(peer);
+  const QueuedPacket* next = voqs_->peek(peer);
   if (next == nullptr) {
     // Nothing for the active peer; enqueues during this day kick us.
     out.retry_at = schedule_->next_day_start(now);
     return out;
   }
   // A serialization must finish before the light goes out.
-  if (now + bandwidth().tx_time(next->wire_bytes()) > schedule_->day_end(now)) {
+  if (now + bandwidth().tx_time(next->wire_bytes) > schedule_->day_end(now)) {
     out.retry_at = schedule_->next_day_start(now);
     return out;
   }
@@ -145,10 +145,10 @@ void CircuitSwitchNode::receive(Packet pkt, int /*in_port*/) {
   if (link.tor == nullptr) {
     throw std::logic_error("CircuitSwitchNode: destination ToR not attached");
   }
-  const PacketPool::Handle h = pool_.put(std::move(pkt));
+  const PacketPool::Handle h = pool().put(pkt);
   sim_.schedule_in(link.propagation, [this, dst_tor, h] {
     const TorLink& out = tors_[static_cast<std::size_t>(dst_tor)];
-    out.tor->receive(pool_.take(h), out.in_port);
+    out.tor->receive(pool().take(h), out.in_port);
   });
 }
 

@@ -73,7 +73,9 @@ class CircuitPort final : public EgressPort {
   std::int64_t int_qlen_bytes() const override;
 
  protected:
-  void push_to_queue(Packet pkt) override { voqs_->push(std::move(pkt)); }
+  void push_to_queue(PacketPool::Handle h, const Packet& pkt) override {
+    voqs_->push(h, pkt);
+  }
   SelectResult try_select() override;
 
  private:
@@ -94,7 +96,9 @@ class VoqUplinkPort final : public EgressPort {
   std::int64_t queue_bytes() const override { return voqs_->total_bytes(); }
 
  protected:
-  void push_to_queue(Packet pkt) override { voqs_->push(std::move(pkt)); }
+  void push_to_queue(PacketPool::Handle h, const Packet& pkt) override {
+    voqs_->push(h, pkt);
+  }
   SelectResult try_select() override;
 
  private:
@@ -131,9 +135,6 @@ class CircuitSwitchNode final : public Node {
   const CircuitSchedule* schedule_;
   std::function<int(NodeId)> tor_of_dst_;
   std::vector<TorLink> tors_;
-  /// Parks packets crossing the switch so the delivery event captures a
-  /// handle instead of the packet.
-  PacketPool pool_;
 };
 
 }  // namespace powertcp::net

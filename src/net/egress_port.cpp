@@ -1,5 +1,7 @@
 #include "net/egress_port.hpp"
 
+#include <stdexcept>
+
 #include "net/node.hpp"
 #include "net/shard_link.hpp"
 
@@ -21,7 +23,14 @@ EgressPort::~EgressPort() {
   if (busy_) sim_.cancel(tx_event_);
 }
 
-bool EgressPort::enqueue(Packet pkt) {
+void EgressPort::use_pool(PacketPool* pool) {
+  if (pool_->live() != 0) {
+    throw std::logic_error("EgressPort::use_pool: packets already parked");
+  }
+  pool_ = pool;
+}
+
+bool EgressPort::enqueue(const Packet& pkt) {
   const std::int64_t sz = pkt.wire_bytes();
   if (shared_buffer_ != nullptr &&
       !shared_buffer_->admits(queue_bytes(), sz)) {
@@ -29,6 +38,7 @@ bool EgressPort::enqueue(Packet pkt) {
     sample_queue();
     return false;
   }
+  bool mark = false;
   if (aqm_ != nullptr) {
     // The verdict reads only the pre-enqueue backlog (and the policy's
     // own RNG/controller state), so consulting it before charging the
@@ -42,13 +52,16 @@ bool EgressPort::enqueue(Packet pkt) {
       return false;
     }
     if (v.mark) {
-      pkt.ecn_marked = true;
+      mark = true;
       ++ecn_marks_;
     }
   }
   if (shared_buffer_ != nullptr) shared_buffer_->on_enqueue(sz);
-  pkt.enqueue_time = sim_.now();
-  push_to_queue(std::move(pkt));
+  const PacketPool::Handle h = pool_->put(pkt);
+  Packet& parked = pool_->get(h);
+  if (mark) parked.ecn_marked = true;
+  parked.enqueue_time = sim_.now();
+  push_to_queue(h, parked);
   sample_queue();
   kick();
   return true;
@@ -56,7 +69,7 @@ bool EgressPort::enqueue(Packet pkt) {
 
 void EgressPort::kick() {
   if (busy_) return;
-  SelectResult sel = try_select();
+  const SelectResult sel = try_select();
   if (sel.pkt.has_value()) {
     if (pending_kick_at_ != sim::kTimeInfinity) {
       sim_.cancel(pending_kick_id_);
@@ -64,9 +77,9 @@ void EgressPort::kick() {
     }
     const std::uint32_t budget = sim_.burst_budget();
     if (budget > 1 && burst_eligible()) {
-      start_tx_burst(std::move(*sel.pkt), budget);
+      start_tx_burst(*sel.pkt, budget);
     } else {
-      start_tx(std::move(*sel.pkt));
+      start_tx(*sel.pkt);
     }
     return;
   }
@@ -84,8 +97,9 @@ void EgressPort::kick() {
   });
 }
 
-void EgressPort::start_tx(Packet pkt) {
+void EgressPort::start_tx(PacketPool::Handle h) {
   busy_ = true;
+  Packet& pkt = pool_->get(h);
   // INT is stamped "when the packet is scheduled for transmission"
   // (paper §3.3): queue length is the backlog left behind, txBytes the
   // cumulative count before this packet.
@@ -100,9 +114,10 @@ void EgressPort::start_tx(Packet pkt) {
   }
   if (sojourn_cb_) sojourn_cb_(sim_.now() - pkt.enqueue_time);
   sample_queue();
-  tx_bytes_ += pkt.wire_bytes();
+  const std::int64_t wire = pkt.wire_bytes();
+  tx_bytes_ += wire;
   ++tx_packets_;
-  const sim::TimePs tx_time = bandwidth_.tx_time(pkt.wire_bytes());
+  const sim::TimePs tx_time = bandwidth_.tx_time(wire);
   if (remote_ != nullptr) {
     // EARLY PUBLICATION (lookahead batching): the packet's content is
     // final here — ECN was decided at enqueue, INT stamped above — and
@@ -114,18 +129,13 @@ void EgressPort::start_tx(Packet pkt) {
     // weight — and therefore the engine's lookahead windows — include
     // the flit serialization delay on top of propagation (see
     // ShardedSimulator::add_cut_edge and docs/performance.md §6).
-    const std::int64_t wire = pkt.wire_bytes();
     remote_->send(sim_.now() + tx_time + propagation_, sim_.now() + tx_time,
-                  tie_token_, std::move(pkt));
+                  tie_token_, pool_->take(h));
     tx_event_ = sim_.schedule_in(tx_time,
                                  [this, wire] { finish_remote_tx(wire); });
     return;
   }
-  // The packet rides in the pool, not the closure: capturing it by
-  // value would heap-allocate ~350 bytes per transmission.
-  const PacketPool::Handle h = pool_.put(std::move(pkt));
-  tx_event_ =
-      sim_.schedule_in(tx_time, [this, h] { finish_tx(pool_.take(h)); });
+  tx_event_ = sim_.schedule_in(tx_time, [this, h] { finish_tx(h); });
 }
 
 bool EgressPort::burst_eligible() const {
@@ -143,7 +153,8 @@ bool EgressPort::burst_eligible() const {
          supports_burst_drain();
 }
 
-void EgressPort::start_tx_burst(Packet first, std::uint32_t budget) {
+void EgressPort::start_tx_burst(PacketPool::Handle first,
+                                std::uint32_t budget) {
   busy_ = true;
   // Accounting and delivery times are computed per packet, exactly as
   // the per-event path would: packet i finishes serializing at
@@ -154,29 +165,27 @@ void EgressPort::start_tx_burst(Packet first, std::uint32_t budget) {
   // holds and the wire becomes free at the same instant.
   sim::TimePs finish = sim_.now();
   std::uint32_t n = 0;
-  Packet pkt = std::move(first);
+  PacketPool::Handle h = first;
   while (true) {
     ++n;
-    tx_bytes_ += pkt.wire_bytes();
+    const std::int64_t wire = pool_->get(h).wire_bytes();
+    tx_bytes_ += wire;
     ++tx_packets_;
-    finish += bandwidth_.tx_time(pkt.wire_bytes());
+    finish += bandwidth_.tx_time(wire);
     if (remote_ != nullptr) {
       // Cross-shard link: the destination shard schedules the delivery
       // at its next window barrier (same per-packet delivery times).
       // The causal stamp is now(), matching the burst path's local
       // schedule_tied_at time.
       remote_->send(finish + propagation_, sim_.now(), tie_token_,
-                    std::move(pkt));
-    } else if (peer_ != nullptr) {
-      const PacketPool::Handle h = pool_.put(std::move(pkt));
-      sim_.schedule_tied_at(finish + propagation_, tie_token_, [this, h] {
-        peer_->receive(pool_.take(h), peer_in_port_);
-      });
+                    pool_->take(h));
+    } else {
+      deliver(h, finish + propagation_);
     }
     if (n >= budget) break;
-    SelectResult sel = try_select();
+    const SelectResult sel = try_select();
     if (!sel.pkt.has_value()) break;
-    pkt = std::move(*sel.pkt);
+    h = *sel.pkt;
   }
   tx_event_ = sim_.schedule_burst_at(finish, n, [this] {
     busy_ = false;
@@ -184,17 +193,23 @@ void EgressPort::start_tx_burst(Packet first, std::uint32_t budget) {
   });
 }
 
-void EgressPort::finish_tx(Packet pkt) {
+void EgressPort::finish_tx(PacketPool::Handle h) {
   busy_ = false;
-  if (shared_buffer_ != nullptr) shared_buffer_->on_dequeue(pkt.wire_bytes());
-  if (tx_monitor_ != nullptr) tx_monitor_->add_bytes(sim_.now(), pkt.wire_bytes());
-  if (peer_ != nullptr) {
-    const PacketPool::Handle h = pool_.put(std::move(pkt));
-    sim_.schedule_tied_at(sim_.now() + propagation_, tie_token_, [this, h] {
-      peer_->receive(pool_.take(h), peer_in_port_);
-    });
-  }
+  const std::int64_t wire = pool_->get(h).wire_bytes();
+  if (shared_buffer_ != nullptr) shared_buffer_->on_dequeue(wire);
+  if (tx_monitor_ != nullptr) tx_monitor_->add_bytes(sim_.now(), wire);
+  deliver(h, sim_.now() + propagation_);
   kick();
+}
+
+void EgressPort::deliver(PacketPool::Handle h, sim::TimePs arrive_at) {
+  if (peer_ == nullptr) {
+    pool_->release(h);
+    return;
+  }
+  sim_.schedule_tied_at(arrive_at, tie_token_, [this, h] {
+    peer_->receive(pool_->take(h), peer_in_port_);
+  });
 }
 
 void EgressPort::finish_remote_tx(std::int64_t wire_bytes) {

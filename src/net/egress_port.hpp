@@ -20,6 +20,13 @@
 /// §3.3 semantics), consult their AQM policy (net/aqm.hpp — step/RED
 /// marking by default) at enqueue, and enforce the switch's
 /// shared-buffer admission (Dynamic Thresholds).
+///
+/// A packet is parked ONCE per hop: enqueue copies it into the node's
+/// PacketPool, the queue discipline holds its handle, INT is stamped
+/// into the parked packet in place, and the same handle rides the
+/// finish and delivery events until the packet leaves the pool into the
+/// peer's Node::receive (or, across a shard cut, into the channel at
+/// start_tx).
 
 namespace powertcp::net {
 
@@ -70,9 +77,16 @@ class EgressPort {
   void set_int_enabled(bool on) { int_enabled_ = on; }
   void set_shared_buffer(DtSharedBuffer* buf) { shared_buffer_ = buf; }
 
-  /// Admits (or drops) a packet and starts the transmitter if idle.
-  /// Returns false iff the packet was dropped by buffer admission.
-  bool enqueue(Packet pkt);
+  /// Admits (or drops) a packet — parking a copy in the node's pool —
+  /// and starts the transmitter if idle. Returns false iff the packet
+  /// was dropped by buffer admission or the AQM.
+  bool enqueue(const Packet& pkt);
+
+  /// Parks this port's packets in `pool` (its node's, installed by
+  /// Node::attach_port) instead of the port's own. Ports of one node
+  /// must share it: an RDCN ToR's circuit port and packet uplink drain
+  /// one VoqSet of handles. Throws if packets are already parked.
+  void use_pool(PacketPool* pool);
 
   sim::Bandwidth bandwidth() const { return bandwidth_; }
   void set_bandwidth(sim::Bandwidth bw) { bandwidth_ = bw; }
@@ -109,14 +123,16 @@ class EgressPort {
 
  protected:
   struct SelectResult {
-    std::optional<Packet> pkt;
+    /// The selected packet's handle in the port's pool.
+    std::optional<PacketPool::Handle> pkt;
     /// When to retry if no packet was selectable; kTimeInfinity means
     /// "wait for an explicit kick" (e.g. the next enqueue).
     sim::TimePs retry_at = sim::kTimeInfinity;
   };
 
-  /// Stores the packet in the discipline-specific backlog.
-  virtual void push_to_queue(Packet pkt) = 0;
+  /// Stores the parked packet's handle in the discipline-specific
+  /// backlog; `pkt` is the parked packet, for classification.
+  virtual void push_to_queue(PacketPool::Handle h, const Packet& pkt) = 0;
   /// Chooses the next packet to serialize, or a retry time.
   virtual SelectResult try_select() = 0;
 
@@ -130,8 +146,12 @@ class EgressPort {
   const sim::Simulator& simulator() const { return sim_; }
 
  private:
-  void start_tx(Packet pkt);
-  void finish_tx(Packet pkt);
+  void start_tx(PacketPool::Handle h);
+  void finish_tx(PacketPool::Handle h);
+  /// Schedules the parked packet's delivery to the peer `arrive_at`;
+  /// the packet leaves the pool when it arrives. Without a peer the
+  /// packet is dropped now.
+  void deliver(PacketPool::Handle h, sim::TimePs arrive_at);
   /// Serialization-complete bookkeeping for the cross-shard path: the
   /// packet itself was already published to the remote channel at
   /// start_tx (early publication — its delivery time, causal stamp and
@@ -144,7 +164,7 @@ class EgressPort {
   /// Serializes up to `budget` packets as one train: per-packet
   /// serialization-time accounting and exact per-packet delivery times,
   /// but a single burst-granular finish event for the whole train.
-  void start_tx_burst(Packet first, std::uint32_t budget);
+  void start_tx_burst(PacketPool::Handle first, std::uint32_t budget);
   void sample_queue();
 
   sim::Simulator& sim_;
@@ -169,9 +189,10 @@ class EgressPort {
   sim::EventId pending_kick_id_{};
   sim::EventId tx_event_{};  ///< pending finish_tx; valid while busy_
 
-  /// Parks packets between start_tx -> finish_tx and finish_tx ->
-  /// delivery so those events capture an 8-byte handle, not the packet.
-  PacketPool pool_;
+  /// Where queued and in-flight packets park: the node's pool once
+  /// attached (use_pool), else own_pool_ (a port driven standalone).
+  PacketPool own_pool_;
+  PacketPool* pool_ = &own_pool_;
 
   stats::QueueSeries* queue_monitor_ = nullptr;
   stats::ThroughputSeries* tx_monitor_ = nullptr;
@@ -189,7 +210,9 @@ class BasicPort final : public EgressPort {
   const QueueDiscipline& queue() const { return *queue_; }
 
  protected:
-  void push_to_queue(Packet pkt) override { queue_->push(std::move(pkt)); }
+  void push_to_queue(PacketPool::Handle h, const Packet& pkt) override {
+    queue_->push(h, pkt);
+  }
   SelectResult try_select() override;
   bool supports_burst_drain() const override { return queue_->strict_fifo(); }
 

@@ -25,6 +25,7 @@ int Node::attach_port(std::unique_ptr<EgressPort> port) {
   }
   port->set_tie_token((static_cast<std::uint32_t>(id_) << 9) |
                       static_cast<std::uint32_t>(index + 1));
+  port->use_pool(&pool_);
   ports_.push_back(std::move(port));
   return index;
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 
 /// \file node.hpp
 /// Base class for anything attached to the network graph: hosts,
@@ -36,7 +37,8 @@ class Node {
   /// evolution, so dequeue-N only engages toward endpoints.
   virtual bool forwards() const { return false; }
 
-  /// Takes ownership of an egress port; returns its index.
+  /// Takes ownership of an egress port — which from then on parks its
+  /// packets in this node's pool — and returns its index.
   int attach_port(std::unique_ptr<EgressPort> port);
 
   EgressPort& port(int i) { return *ports_.at(static_cast<std::size_t>(i)); }
@@ -45,9 +47,15 @@ class Node {
   }
   int port_count() const { return static_cast<int>(ports_.size()); }
 
+  /// The one pool this node's egress ports (and any in-node delay, like
+  /// the circuit switch's) park packets in. Touched only by the shard
+  /// that owns the node.
+  PacketPool& pool() { return pool_; }
+
  private:
   NodeId id_;
   std::string name_;
+  PacketPool pool_;
   std::vector<std::unique_ptr<EgressPort>> ports_;
 };
 

@@ -77,9 +77,11 @@ class IntHeader {
   int n_hops_ = 0;
 };
 
-/// A simulated packet. Copied by value along the path; fields below the
-/// "simulator metadata" marker never exist on a real wire and carry no
-/// modeled size.
+/// A simulated packet. While queued and in flight it stays parked in its
+/// node's PacketPool (net/packet_pool.hpp), copied in at enqueue and out
+/// into the next node's receive(). Fields below the "simulator
+/// metadata" marker never exist on a real wire and carry no modeled
+/// size.
 struct Packet {
   FlowId flow = 0;
   NodeId src = kInvalidNode;

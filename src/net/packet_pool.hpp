@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -9,14 +10,24 @@
 /// \file packet_pool.hpp
 /// Generation-checked parking lot for in-flight Packets.
 ///
-/// A Packet is ~350 bytes (mostly the 8-hop INT header), so capturing
-/// one by value in an event closure forces a heap allocation per event.
-/// Instead the owner parks the packet here and captures only the 8-byte
-/// Handle; the event reclaims it with take(). Generations catch
-/// use-after-take and double-take at the call site instead of silently
-/// reading recycled storage. Storage grows to the high-water mark of
-/// simultaneously in-flight packets and is recycled thereafter — the
-/// steady-state path allocates nothing.
+/// A Packet is 360 bytes (264 of them the 8-hop INT stack), so every
+/// copy on the per-hop path costs. Each net::Node owns one pool, shared
+/// by its egress ports: EgressPort::enqueue parks an arriving packet
+/// once, the queue disciplines hold 8-byte handles, start_tx stamps INT
+/// into the parked packet in place, and the same handle rides the
+/// finish and delivery events until the packet leaves the pool — once —
+/// into the peer's Node::receive. Event closures capture the handle, not
+/// the packet. Generations catch use-after-take and double-take at the
+/// call site instead of silently reading recycled storage.
+///
+/// Storage grows in fixed-size chunks and never relocates, so a Packet&
+/// obtained from get() stays valid across later put()s (only its own
+/// take()/release() ends it), and growth never copies the parked
+/// packets or briefly doubles the footprint the way a doubling vector
+/// would. It grows to the high-water mark of simultaneously parked
+/// packets and is recycled thereafter (LIFO, so a put lands on the
+/// cache lines the previous take just touched) — the steady-state path
+/// allocates nothing.
 
 namespace powertcp::net {
 
@@ -27,46 +38,73 @@ class PacketPool {
     std::uint32_t gen = 0;
   };
 
-  /// Parks a packet; the returned handle redeems it exactly once.
-  Handle put(Packet&& pkt) {
+  /// Parks a copy of `pkt`; the returned handle redeems it exactly once.
+  Handle put(const Packet& pkt) {
     std::uint32_t idx;
     if (!free_.empty()) {
       idx = free_.back();
       free_.pop_back();
-      entries_[idx].pkt = std::move(pkt);
     } else {
-      idx = static_cast<std::uint32_t>(entries_.size());
-      entries_.push_back(Entry{std::move(pkt), 1});
+      idx = size_;
+      if ((idx & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<Entry[]>(kChunkSize));
+      }
+      ++size_;
     }
+    Entry& e = entry(idx);
+    e.pkt = pkt;
     ++live_;
-    return Handle{idx, entries_[idx].gen};
+    return Handle{idx, e.gen};
   }
 
-  /// Redeems a handle, freeing its slot. Throws on stale/foreign
-  /// handles (double take, or a handle from another pool).
+  /// The parked packet, in place. Throws on stale/foreign handles.
+  Packet& get(Handle h) { return checked(h).pkt; }
+
+  /// Redeems a handle, freeing its slot, and returns the packet. Throws
+  /// on stale/foreign handles (double take, or a handle from another
+  /// pool).
   Packet take(Handle h) {
-    if (h.index >= entries_.size() || entries_[h.index].gen != h.gen) {
-      throw std::logic_error("PacketPool::take: stale handle");
-    }
-    Entry& e = entries_[h.index];
-    ++e.gen;  // invalidate the redeemed handle
-    free_.push_back(h.index);
-    --live_;
-    return std::move(e.pkt);
+    Entry& e = checked(h);
+    free_entry(h.index, e);
+    return e.pkt;  // the slot is not reused before this copy
   }
+
+  /// Redeems a handle without copying the packet out (a drop).
+  void release(Handle h) { free_entry(h.index, checked(h)); }
 
   /// Packets currently parked.
   std::size_t live() const { return live_; }
   /// High-water mark of simultaneously parked packets.
-  std::size_t capacity() const { return entries_.size(); }
+  std::size_t capacity() const { return size_; }
 
  private:
+  static constexpr std::uint32_t kChunkShift = 5;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
+
   struct Entry {
     Packet pkt;
     std::uint32_t gen = 1;
   };
-  std::vector<Entry> entries_;
+
+  Entry& entry(std::uint32_t idx) {
+    return chunks_[idx >> kChunkShift][idx & kChunkMask];
+  }
+  Entry& checked(Handle h) {
+    if (h.index >= size_ || entry(h.index).gen != h.gen) {
+      throw std::logic_error("PacketPool: stale handle");
+    }
+    return entry(h.index);
+  }
+  void free_entry(std::uint32_t idx, Entry& e) {
+    ++e.gen;  // invalidate the redeemed handle
+    free_.push_back(idx);
+    --live_;
+  }
+
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
   std::vector<std::uint32_t> free_;
+  std::uint32_t size_ = 0;  ///< entries ever handed out (chunked)
   std::size_t live_ = 0;
 };
 

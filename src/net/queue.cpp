@@ -4,43 +4,26 @@
 
 namespace powertcp::net {
 
-void FifoQueue::push(Packet pkt) {
-  std::uint32_t idx;
-  if (free_head_ != kNil) {
-    idx = free_head_;
-    free_head_ = arena_[idx].next;
-    arena_[idx].pkt = std::move(pkt);
-  } else {
-    idx = static_cast<std::uint32_t>(arena_.size());
-    arena_.push_back(Node{std::move(pkt), kNil});
+void PacketRing::grow() {
+  std::vector<QueuedPacket> bigger(buf_.empty() ? 8 : 2 * buf_.size());
+  for (std::size_t i = 0; i < count_; ++i) {
+    bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
   }
-  arena_[idx].next = kNil;
-  if (tail_ == kNil) {
-    head_ = idx;
-  } else {
-    arena_[tail_].next = idx;
-  }
-  tail_ = idx;
-  ++count_;
-  bytes_ += arena_[idx].pkt.wire_bytes();
+  buf_ = std::move(bigger);
+  head_ = 0;
 }
 
-std::optional<Packet> FifoQueue::pop() {
-  if (count_ == 0) return std::nullopt;
-  const std::uint32_t idx = head_;
-  Node& n = arena_[idx];
-  Packet pkt = std::move(n.pkt);
-  head_ = n.next;
-  if (head_ == kNil) tail_ = kNil;
-  n.next = free_head_;
-  free_head_ = idx;
-  --count_;
-  bytes_ -= pkt.wire_bytes();
-  return pkt;
+void FifoQueue::push(PacketPool::Handle h, const Packet& pkt) {
+  ring_.push_back(QueuedPacket{h, pkt.wire_bytes()});
+  bytes_ += pkt.wire_bytes();
 }
 
-const Packet* FifoQueue::peek_next() const {
-  return count_ == 0 ? nullptr : &arena_[head_].pkt;
+std::optional<PacketPool::Handle> FifoQueue::pop() {
+  if (ring_.empty()) return std::nullopt;
+  const QueuedPacket q = ring_.front();
+  ring_.pop_front();
+  bytes_ -= q.wire_bytes;
+  return q.handle;
 }
 
 PriorityQueue::PriorityQueue(int bands) {
@@ -49,7 +32,7 @@ PriorityQueue::PriorityQueue(int bands) {
   band_bytes_.assign(static_cast<std::size_t>(bands), 0);
 }
 
-void PriorityQueue::push(Packet pkt) {
+void PriorityQueue::push(PacketPool::Handle h, const Packet& pkt) {
   const auto band =
       static_cast<std::size_t>(pkt.priority) < bands_.size()
           ? static_cast<std::size_t>(pkt.priority)
@@ -57,26 +40,26 @@ void PriorityQueue::push(Packet pkt) {
   bytes_ += pkt.wire_bytes();
   band_bytes_[band] += pkt.wire_bytes();
   ++packets_;
-  bands_[band].push_back(std::move(pkt));
+  bands_[band].push_back(QueuedPacket{h, pkt.wire_bytes()});
 }
 
-std::optional<Packet> PriorityQueue::pop() {
+std::optional<PacketPool::Handle> PriorityQueue::pop() {
   for (std::size_t b = 0; b < bands_.size(); ++b) {
-    auto& band = bands_[b];
+    PacketRing& band = bands_[b];
     if (!band.empty()) {
-      Packet pkt = std::move(band.front());
+      const QueuedPacket q = band.front();
       band.pop_front();
-      bytes_ -= pkt.wire_bytes();
-      band_bytes_[b] -= pkt.wire_bytes();
+      bytes_ -= q.wire_bytes;
+      band_bytes_[b] -= q.wire_bytes;
       --packets_;
-      return pkt;
+      return q.handle;
     }
   }
   return std::nullopt;
 }
 
-const Packet* PriorityQueue::peek_next() const {
-  for (const auto& band : bands_) {
+const QueuedPacket* PriorityQueue::peek_next() const {
+  for (const PacketRing& band : bands_) {
     if (!band.empty()) return &band.front();
   }
   return nullptr;
@@ -89,7 +72,7 @@ VoqSet::VoqSet(int n_queues, std::function<int(NodeId)> classify)
   voq_bytes_.assign(static_cast<std::size_t>(n_queues), 0);
 }
 
-void VoqSet::push(Packet pkt) {
+void VoqSet::push(PacketPool::Handle h, const Packet& pkt) {
   const int voq = classify_(pkt.dst);
   if (voq < 0 || voq >= size()) {
     throw std::out_of_range("VoqSet::push: classify returned bad index");
@@ -97,22 +80,23 @@ void VoqSet::push(Packet pkt) {
   voq_bytes_[static_cast<std::size_t>(voq)] += pkt.wire_bytes();
   total_bytes_ += pkt.wire_bytes();
   ++total_packets_;
-  queues_[static_cast<std::size_t>(voq)].push_back(std::move(pkt));
+  queues_[static_cast<std::size_t>(voq)].push_back(
+      QueuedPacket{h, pkt.wire_bytes()});
 }
 
-std::optional<Packet> VoqSet::pop_from(int voq) {
-  auto& q = queues_.at(static_cast<std::size_t>(voq));
+std::optional<PacketPool::Handle> VoqSet::pop_from(int voq) {
+  PacketRing& q = queues_.at(static_cast<std::size_t>(voq));
   if (q.empty()) return std::nullopt;
-  Packet pkt = std::move(q.front());
+  const QueuedPacket front = q.front();
   q.pop_front();
-  voq_bytes_[static_cast<std::size_t>(voq)] -= pkt.wire_bytes();
-  total_bytes_ -= pkt.wire_bytes();
+  voq_bytes_[static_cast<std::size_t>(voq)] -= front.wire_bytes;
+  total_bytes_ -= front.wire_bytes;
   --total_packets_;
-  return pkt;
+  return front.handle;
 }
 
-const Packet* VoqSet::peek(int voq) const {
-  const auto& q = queues_.at(static_cast<std::size_t>(voq));
+const QueuedPacket* VoqSet::peek(int voq) const {
+  const PacketRing& q = queues_.at(static_cast<std::size_t>(voq));
   return q.empty() ? nullptr : &q.front();
 }
 

@@ -1,29 +1,69 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 
 /// \file queue.hpp
 /// Egress queueing disciplines: FIFO, strict priority (HOMA), and
 /// per-destination virtual output queues (reconfigurable DCN ToRs).
+/// They queue handles to packets parked in the owning node's
+/// PacketPool, never the 360-byte packets themselves.
 
 namespace powertcp::net {
 
-/// Interface for an egress buffer. `pop` surrenders ownership of the
-/// selected packet; `peek_next` must agree with the packet `pop` would
-/// return (used to compute serialization time before committing).
+/// A packet as the disciplines hold it: the handle of its slot in the
+/// node's PacketPool (the packet itself stays parked there) plus the
+/// wire size the byte counters need.
+struct QueuedPacket {
+  PacketPool::Handle handle;
+  std::int64_t wire_bytes = 0;
+};
+
+/// FIFO of QueuedPackets over a power-of-two ring that doubles when
+/// full. It grows to the backlog high-water mark once and then
+/// recycles, keeping the per-packet path allocation-free.
+class PacketRing {
+ public:
+  void push_back(const QueuedPacket& q) {
+    if (count_ == buf_.size()) grow();
+    buf_[(head_ + count_) & (buf_.size() - 1)] = q;
+    ++count_;
+  }
+  /// Precondition: not empty.
+  const QueuedPacket& front() const { return buf_[head_]; }
+  /// Precondition: not empty.
+  void pop_front() {
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --count_;
+  }
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+ private:
+  void grow();
+
+  std::vector<QueuedPacket> buf_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+};
+
+/// Interface for an egress buffer of parked packets. `push` receives the
+/// packet's pool handle and reads whatever it classifies by (wire size,
+/// priority band, destination) from the parked packet; `pop` surrenders
+/// the selected handle; `peek_next` must agree with the entry `pop`
+/// would return.
 class QueueDiscipline {
  public:
   virtual ~QueueDiscipline() = default;
 
-  virtual void push(Packet pkt) = 0;
-  virtual std::optional<Packet> pop() = 0;
-  virtual const Packet* peek_next() const = 0;
+  virtual void push(PacketPool::Handle h, const Packet& pkt) = 0;
+  virtual std::optional<PacketPool::Handle> pop() = 0;
+  virtual const QueuedPacket* peek_next() const = 0;
   virtual std::int64_t bytes() const = 0;
   virtual std::size_t packets() const = 0;
   bool empty() const { return packets() == 0; }
@@ -37,34 +77,20 @@ class QueueDiscipline {
   virtual bool strict_fifo() const { return false; }
 };
 
-/// Plain FIFO over an index-linked node arena. A deque of ~350-byte
-/// Packets puts one element per block on libstdc++, i.e. one heap
-/// allocation per push — the arena grows to the backlog high-water mark
-/// once and then recycles, keeping the per-packet path allocation-free.
-/// Freed nodes are reused LIFO so a push lands on the cache lines the
-/// preceding pop just touched (the behavior malloc's tcache gave the
-/// deque) instead of cycling through cold storage.
+/// Plain FIFO.
 class FifoQueue final : public QueueDiscipline {
  public:
-  void push(Packet pkt) override;
-  std::optional<Packet> pop() override;
-  const Packet* peek_next() const override;
+  void push(PacketPool::Handle h, const Packet& pkt) override;
+  std::optional<PacketPool::Handle> pop() override;
+  const QueuedPacket* peek_next() const override {
+    return ring_.empty() ? nullptr : &ring_.front();
+  }
   std::int64_t bytes() const override { return bytes_; }
-  std::size_t packets() const override { return count_; }
+  std::size_t packets() const override { return ring_.size(); }
   bool strict_fifo() const override { return true; }
 
  private:
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  struct Node {
-    Packet pkt;
-    std::uint32_t next = kNil;
-  };
-
-  std::vector<Node> arena_;
-  std::uint32_t free_head_ = kNil;  ///< LIFO freelist of arena slots
-  std::uint32_t head_ = kNil;
-  std::uint32_t tail_ = kNil;
-  std::size_t count_ = 0;
+  PacketRing ring_;
   std::int64_t bytes_ = 0;
 };
 
@@ -74,9 +100,9 @@ class PriorityQueue final : public QueueDiscipline {
  public:
   explicit PriorityQueue(int bands = 8);
 
-  void push(Packet pkt) override;
-  std::optional<Packet> pop() override;
-  const Packet* peek_next() const override;
+  void push(PacketPool::Handle h, const Packet& pkt) override;
+  std::optional<PacketPool::Handle> pop() override;
+  const QueuedPacket* peek_next() const override;
   std::int64_t bytes() const override { return bytes_; }
   std::size_t packets() const override { return packets_; }
 
@@ -87,7 +113,7 @@ class PriorityQueue final : public QueueDiscipline {
   }
 
  private:
-  std::vector<std::deque<Packet>> bands_;
+  std::vector<PacketRing> bands_;
   std::vector<std::int64_t> band_bytes_;
   std::int64_t bytes_ = 0;
   std::size_t packets_ = 0;
@@ -95,16 +121,17 @@ class PriorityQueue final : public QueueDiscipline {
 
 /// Per-destination-ToR virtual output queues shared between the circuit
 /// port and the packet-network uplink of an RDCN ToR. Both ports pull
-/// from this set; the selector policy lives in the ports.
+/// from this set — which is why they share their node's PacketPool —
+/// and the selector policy lives in the ports.
 class VoqSet {
  public:
   /// `classify` maps a packet's destination node to a VOQ index
   /// (destination ToR).
   VoqSet(int n_queues, std::function<int(NodeId)> classify);
 
-  void push(Packet pkt);
-  std::optional<Packet> pop_from(int voq);
-  const Packet* peek(int voq) const;
+  void push(PacketPool::Handle h, const Packet& pkt);
+  std::optional<PacketPool::Handle> pop_from(int voq);
+  const QueuedPacket* peek(int voq) const;
 
   std::int64_t voq_bytes(int voq) const { return voq_bytes_[static_cast<size_t>(voq)]; }
   std::int64_t total_bytes() const { return total_bytes_; }
@@ -113,7 +140,7 @@ class VoqSet {
   int classify(NodeId dst) const { return classify_(dst); }
 
  private:
-  std::vector<std::deque<Packet>> queues_;
+  std::vector<PacketRing> queues_;
   std::vector<std::int64_t> voq_bytes_;
   std::int64_t total_bytes_ = 0;
   std::size_t total_packets_ = 0;

@@ -77,12 +77,19 @@ void Switch::set_routes(NodeId dst, std::vector<int> ports) {
   if (ports.empty()) {
     throw std::invalid_argument("Switch::set_routes: empty port set");
   }
-  routes_[dst] = std::move(ports);
+  if (dst < 0) {
+    throw std::invalid_argument("Switch::set_routes: negative destination " +
+                                std::to_string(dst));
+  }
+  const auto i = static_cast<std::size_t>(dst);
+  if (i >= routes_.size()) routes_.resize(i + 1);
+  routes_[i] = std::move(ports);
 }
 
 const std::vector<int>* Switch::routes_to(NodeId dst) const {
-  const auto it = routes_.find(dst);
-  return it == routes_.end() ? nullptr : &it->second;
+  const auto i = static_cast<std::size_t>(dst);
+  if (dst < 0 || i >= routes_.size() || routes_[i].empty()) return nullptr;
+  return &routes_[i];
 }
 
 std::size_t Switch::ecmp_index(FlowId flow, std::size_t n) const {
@@ -99,7 +106,7 @@ void Switch::receive(Packet pkt, int /*in_port*/) {
                            std::to_string(pkt.dst));
   }
   const std::size_t pick = ecmp_index(pkt.flow, choices->size());
-  port((*choices)[pick]).enqueue(std::move(pkt));
+  port((*choices)[pick]).enqueue(pkt);
 }
 
 std::uint64_t Switch::total_drops() const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/dt_buffer.hpp"
@@ -47,8 +46,10 @@ class Switch : public Node {
   /// nothing yet; returns the port index.
   int add_port(sim::Bandwidth bw, sim::TimePs propagation);
 
-  /// Registers the ECMP next-hop port set toward destination `dst`.
+  /// Registers the ECMP next-hop port set toward destination `dst`
+  /// (>= 0; a negative id throws std::invalid_argument).
   void set_routes(NodeId dst, std::vector<int> ports);
+  /// The next-hop port set toward `dst`, or nullptr if none is known.
   const std::vector<int>* routes_to(NodeId dst) const;
 
   void receive(Packet pkt, int in_port) override;
@@ -68,7 +69,9 @@ class Switch : public Node {
   sim::Simulator& sim_;
   SwitchConfig cfg_;
   DtSharedBuffer buffer_;
-  std::unordered_map<NodeId, std::vector<int>> routes_;
+  /// Next-hop port sets indexed by destination node id; an empty set
+  /// means no route.
+  std::vector<std::vector<int>> routes_;
 };
 
 }  // namespace powertcp::net

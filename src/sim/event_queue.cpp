@@ -10,14 +10,6 @@ namespace {
 constexpr std::size_t kMinBuckets = 16;
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
 
-/// True when a precedes b in pop order.
-bool earlier(const EventEntry& a, const EventEntry& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.sched != b.sched) return a.sched < b.sched;
-  if (a.tie != b.tie) return a.tie < b.tie;
-  return a.seq < b.seq;
-}
-
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = kMinBuckets;
   while (p < n && p < kMaxBuckets) p <<= 1;
@@ -30,7 +22,7 @@ std::unique_ptr<EventQueue> make_event_queue(QueueKind kind) {
   if (kind == QueueKind::kCalendar) {
     return std::make_unique<CalendarEventQueue>();
   }
-  return std::make_unique<BinaryHeapEventQueue>();
+  return std::make_unique<HeapEventQueue>();
 }
 
 CalendarEventQueue::CalendarEventQueue() : buckets_(kMinBuckets) {}

@@ -1,31 +1,36 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "sim/time.hpp"
 
 /// \file event_queue.hpp
-/// Pending-event storage behind the Simulator: POD (time, sched, tie,
-/// seq, slot) entries ordered by (time, sched, tie, seq). Two
-/// interchangeable
-/// backends share one interface so a run can pick its structure without
-/// changing event semantics:
+/// Pending-event storage behind the Simulator: 40-byte POD (time,
+/// sched, tie, seq, slot) entries ordered by (time, sched, tie, seq).
+/// Two interchangeable backends share one interface so a run can pick
+/// its structure without changing event semantics:
 ///
-///  - BinaryHeapEventQueue: std::priority_queue, the default. O(log n)
-///    everywhere, unbeatable for small/medium event counts.
-///  - CalendarEventQueue: a classic calendar queue (Brown 1988) for
-///    dense timer workloads — amortized O(1) push/pop when event times
-///    are spread evenly, as in paper-scale runs where hundreds of
-///    thousands of pacing/RTO timers and packet events tick in a narrow
-///    moving window.
+///  - HeapEventQueue: the default. A 4-ary min-heap that also indexes
+///    every queued entry's position by its slot, so the Simulator
+///    cancels eagerly — erase() removes the entry in O(log n) and the
+///    pending set never holds tombstones. A 4-ary heap is half as deep
+///    as a binary one and its four children sit in adjacent entries,
+///    so a pop touches fewer cache lines.
+///  - CalendarEventQueue: a classic calendar queue (Brown 1988) with
+///    amortized O(1) push/pop when event times are spread evenly. It
+///    cannot erase, so a cancelled event stays behind as a tombstone
+///    that the Simulator discards when it surfaces. On the shipped
+///    configs it is slower than the heap (one fig6 point: 34.2 s vs
+///    6.1 s) and no config selects it.
 ///
-/// Both backends pop in exactly (time, sched, tie, seq) order, so a run's
-/// event trace — and therefore every golden output — is
-/// backend-independent; tests pin heap/calendar equivalence on
-/// randomized schedules.
+/// The key is a strict total order (`seq` is unique), so any correct
+/// priority queue pops in exactly the same order: a run's event trace
+/// — and therefore every golden output — is backend-independent, and
+/// erasing an entry early only drops an event that was never going to
+/// run. Tests pin heap/calendar equivalence on randomized schedules.
 ///
 /// The `sched` key is the CAUSAL timestamp: the simulation time at
 /// which the event was scheduled. In a purely sequential run it is
@@ -70,13 +75,21 @@ struct EventEntry {
   std::uint32_t tie = 0;
 };
 
+/// True when a precedes b in pop order.
+inline bool earlier(const EventEntry& a, const EventEntry& b) {
+  if (a.time != b.time) return a.time < b.time;
+  if (a.sched != b.sched) return a.sched < b.sched;
+  if (a.tie != b.tie) return a.tie < b.tie;
+  return a.seq < b.seq;
+}
+
 class EventQueue {
  public:
   virtual ~EventQueue() = default;
 
   virtual void push(const EventEntry& e) = 0;
-  /// Minimum entry by (time, sched, seq), or nullptr when empty. The pointer
-  /// is valid until the next push/pop.
+  /// Minimum entry by (time, sched, tie, seq), or nullptr when empty.
+  /// The pointer is valid until the next push/pop.
   virtual const EventEntry* peek() = 0;
   /// Removes the entry peek() reported. Precondition: not empty.
   virtual void pop() = 0;
@@ -89,25 +102,81 @@ enum class QueueKind : std::uint8_t { kBinaryHeap, kCalendar };
 
 std::unique_ptr<EventQueue> make_event_queue(QueueKind kind);
 
-class BinaryHeapEventQueue final : public EventQueue {
+/// 4-ary min-heap with a slot -> position index (see the file comment).
+/// Each slot may be queued at most once, which the Simulator guarantees:
+/// a slot is reused only after its entry has been popped or erased.
+class HeapEventQueue final : public EventQueue {
  public:
-  void push(const EventEntry& e) override { heap_.push(e); }
-  const EventEntry* peek() override {
-    return heap_.empty() ? nullptr : &heap_.top();
+  void push(const EventEntry& e) override {
+    if (e.slot >= pos_.size()) pos_.resize(std::size_t{e.slot} + 1);
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, e);
   }
-  void pop() override { heap_.pop(); }
+  const EventEntry* peek() override {
+    return heap_.empty() ? nullptr : &heap_.front();
+  }
+  void pop() override {
+    assert(!heap_.empty());
+    const EventEntry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
   std::size_t size() const override { return heap_.size(); }
 
- private:
-  struct Later {
-    bool operator()(const EventEntry& a, const EventEntry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.sched != b.sched) return a.sched > b.sched;
-      if (a.tie != b.tie) return a.tie > b.tie;
-      return a.seq > b.seq;
+  /// Removes the queued entry of `slot`. Precondition: `slot` is queued.
+  void erase(std::uint32_t slot) {
+    assert(slot < pos_.size() && pos_[slot] < heap_.size() &&
+           heap_[pos_[slot]].slot == slot);
+    const std::size_t i = pos_[slot];
+    const EventEntry last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) return;  // erased the last entry itself
+    // `last` refills the hole; it may belong above or below it.
+    if (i > 0 && earlier(last, heap_[(i - 1) / kArity])) {
+      sift_up(i, last);
+    } else {
+      sift_down(i, last);
     }
-  };
-  std::priority_queue<EventEntry, std::vector<EventEntry>, Later> heap_;
+  }
+
+ private:
+  static constexpr std::size_t kArity = 4;
+
+  void place(std::size_t i, const EventEntry& e) {
+    heap_[i] = e;
+    pos_[e.slot] = static_cast<std::uint32_t>(i);
+  }
+  /// Moves the hole at `i` up until `e` fits, then stores `e` there.
+  void sift_up(std::size_t i, const EventEntry& e) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!earlier(e, heap_[parent])) break;
+      place(i, heap_[parent]);
+      i = parent;
+    }
+    place(i, e);
+  }
+  /// Moves the hole at `i` down until `e` fits, then stores `e` there.
+  void sift_down(std::size_t i, const EventEntry& e) {
+    const std::size_t n = heap_.size();
+    while (true) {
+      const std::size_t first = kArity * i + 1;
+      if (first >= n) break;
+      const std::size_t end = first + kArity < n ? first + kArity : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (earlier(heap_[c], heap_[best])) best = c;
+      }
+      if (!earlier(heap_[best], e)) break;
+      place(i, heap_[best]);
+      i = best;
+    }
+    place(i, e);
+  }
+
+  std::vector<EventEntry> heap_;
+  /// Heap index of each queued slot's entry; stale for unqueued slots.
+  std::vector<std::uint32_t> pos_;
 };
 
 class CalendarEventQueue final : public EventQueue {

@@ -12,22 +12,7 @@ EventId Simulator::schedule_tied_at(TimePs t, std::uint32_t tie, Callback cb) {
                                 format_time(t) + " is before now " +
                                 format_time(now_));
   }
-  const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].seq = seq;
-  slots_[slot].burst_count = 1;
-  slots_[slot].origin = 0;
-  slots_[slot].cb = std::move(cb);
-  queue_push(EventEntry{t, now_, seq, slot, 0, tie});
-  ++live_events_;
-  return EventId{seq, slot};
+  return push_event(EventEntry{t, now_, 0, 0, 0, tie}, 1, 0, std::move(cb));
 }
 
 EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
@@ -41,22 +26,8 @@ EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
     throw std::invalid_argument(
         "Simulator::schedule_from: origin 0 is reserved for local events");
   }
-  const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].seq = seq;
-  slots_[slot].burst_count = 1;
-  slots_[slot].origin = origin;
-  slots_[slot].cb = std::move(cb);
-  queue_push(EventEntry{t, sched_time, seq, slot, 0, tie});
-  ++live_events_;
-  return EventId{seq, slot};
+  return push_event(EventEntry{t, sched_time, 0, 0, 0, tie}, 1, origin,
+                    std::move(cb));
 }
 
 EventId Simulator::schedule_burst_at(TimePs t, std::uint32_t count,
@@ -69,29 +40,36 @@ EventId Simulator::schedule_burst_at(TimePs t, std::uint32_t count,
   if (count == 0) {
     throw std::invalid_argument("Simulator::schedule_burst_at: count 0");
   }
-  const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
+  return push_event(EventEntry{t, now_, 0, 0, merge_key, 0}, count, 0,
+                    std::move(cb));
+}
+
+EventId Simulator::push_event(EventEntry e, std::uint32_t count,
+                              std::uint32_t origin, Callback&& cb) {
+  e.seq = next_seq_++;
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    e.slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
+    e.slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  slots_[slot].seq = seq;
-  slots_[slot].burst_count = count;
-  slots_[slot].origin = 0;
-  slots_[slot].cb = std::move(cb);
-  queue_push(EventEntry{t, now_, seq, slot, merge_key});
+  Slot& s = slots_[e.slot];
+  s.seq = e.seq;
+  s.burst_count = count;
+  s.origin = origin;
+  s.cb = std::move(cb);
+  queue_push(e);
   ++live_events_;
-  return EventId{seq, slot};
+  return EventId{e.seq, e.slot};
 }
 
 bool Simulator::pop_and_run_next(TimePs limit) {
   while (const EventEntry* top_ptr = queue_peek()) {
     const EventEntry top = *top_ptr;
-    // Tombstone: the slot was freed at cancel time (and possibly reused
-    // for a newer event, whose seq then differs).
+    // Calendar tombstone: the slot was freed at cancel time (and
+    // possibly reused for a newer event, whose seq then differs). The
+    // heap erases at cancel time and never surfaces one.
     if (slots_[top.slot].seq != top.seq) {
       queue_pop();
       continue;
@@ -128,8 +106,9 @@ bool Simulator::pop_and_run_next(TimePs limit) {
       // share (time, merge_key), summing their logical counts into one
       // invocation. Later callbacks in the run are interchangeable with
       // the first by the schedule_burst_at contract and are released
-      // uninvoked. Tombstones inside the run are discarded in passing;
-      // the first live entry with a different time or key ends the run.
+      // uninvoked. Calendar tombstones inside the run are discarded in
+      // passing; the first live entry with a different time or key ends
+      // the run.
       while (count < burst_budget_) {
         const EventEntry* next_ptr = queue_peek();
         if (next_ptr == nullptr || next_ptr->time != top.time) break;
@@ -181,7 +160,7 @@ void Simulator::run_events_before(TimePs end) {
 TimePs Simulator::next_event_time() {
   while (const EventEntry* top = queue_peek()) {
     if (slots_[top->slot].seq != top->seq) {
-      queue_pop();  // tombstone of a cancelled event
+      queue_pop();  // calendar tombstone of a cancelled event
       continue;
     }
     return top->time;

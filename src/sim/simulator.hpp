@@ -18,17 +18,18 @@
 /// relied on by the regression tests, which compare whole packet traces
 /// across runs.
 ///
-/// Storage is split between an EventQueue of small POD entries
-/// (time, sched, seq, slot) — a binary heap by default, a calendar queue
-/// for
-/// dense timer workloads (QueueKind, chosen per run) — and a slot table
-/// holding the callbacks. Callbacks are sim::Callback, which embeds the
-/// closure in the slot (no per-event heap allocation; oversized captures
-/// fail to compile). Cancelling frees the slot immediately — an O(1)
-/// generation check against the EventId's seq, with no lookaside set
-/// that could grow when stale ids are cancelled — and leaves only the
-/// POD queue entry behind as a tombstone that is discarded when it
-/// reaches the top.
+/// Storage is split between an EventQueue of 40-byte POD entries
+/// (time, sched, tie, seq, slot) — an indexed 4-ary heap by default, a
+/// calendar queue on request (QueueKind, chosen per run) — and a slot
+/// table holding the callbacks. Callbacks are sim::Callback, which
+/// embeds the closure in the slot (no per-event heap allocation;
+/// oversized captures fail to compile). Cancelling is an O(1)
+/// generation check against the EventId's seq (no lookaside set that
+/// could grow when stale ids are cancelled), frees the slot at once,
+/// and on the heap also erases the queue entry in O(log n): the pending
+/// set holds live events only. The calendar cannot erase, so there a
+/// cancelled event leaves its POD entry behind as a tombstone that is
+/// discarded when it reaches the top.
 ///
 /// Events can be BURST-GRANULAR: one queue entry may stand for `count`
 /// logical events (schedule_burst_at), and entries tagged with a merge
@@ -52,7 +53,7 @@ class Simulator {
   explicit Simulator(QueueKind queue_kind = QueueKind::kBinaryHeap)
       : queue_(make_event_queue(queue_kind)),
         heap_(queue_kind == QueueKind::kBinaryHeap
-                  ? static_cast<BinaryHeapEventQueue*>(queue_.get())
+                  ? static_cast<HeapEventQueue*>(queue_.get())
                   : nullptr) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -155,13 +156,15 @@ class Simulator {
   /// for (>= 1). Valid during callback invocation; 1 outside.
   std::uint32_t burst_count() const { return burst_count_; }
 
-  /// Cancels a pending event and releases its callback immediately.
+  /// Cancels a pending event and releases its callback immediately; on
+  /// the default heap backend its queue entry goes too (no tombstone).
   /// Cancelling an already-fired, already-cancelled, or default
   /// EventId is a harmless no-op and allocates nothing.
   void cancel(EventId id) {
     if (id.seq == 0 || id.slot >= slots_.size()) return;
     Slot& s = slots_[id.slot];
     if (s.seq != id.seq) return;  // fired or superseded: stale handle
+    if (heap_ != nullptr) heap_->erase(id.slot);
     release_slot(id.slot);
     --live_events_;
   }
@@ -181,8 +184,8 @@ class Simulator {
   void run_events_before(TimePs end);
 
   /// Earliest pending live event time, or kTimeInfinity when idle.
-  /// Tombstones of cancelled events blocking the top are discarded in
-  /// passing (the same lazy deletion the run loop performs).
+  /// Calendar tombstones blocking the top are discarded in passing (the
+  /// same lazy deletion the run loop performs).
   TimePs next_event_time();
 
   /// Stops the run loop after the current event returns.
@@ -192,8 +195,9 @@ class Simulator {
   bool pending() const { return live_events_ > 0; }
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Queue entries for cancelled events awaiting lazy removal. Bounded by
-  /// the number of currently scheduled events ever in flight; regression
+  /// Queue entries for cancelled events awaiting lazy removal: always 0
+  /// on the heap backend, which erases at cancel time. On the calendar
+  /// it is bounded by the number of events ever in flight; regression
   /// tests assert it never grows from cancelling stale ids.
   std::size_t tombstones() const {
     return queue_->size() - static_cast<std::size_t>(live_events_);
@@ -226,6 +230,11 @@ class Simulator {
     free_slots_.push_back(idx);
   }
 
+  /// Assigns `e` its seq and a slot holding `cb`, and queues it. The
+  /// callers have validated `e`'s time, causal stamp and tie token.
+  EventId push_event(EventEntry e, std::uint32_t count, std::uint32_t origin,
+                     Callback&& cb);
+
   bool pop_and_run_next(TimePs limit);
 
   // Devirtualized fast path for the default backend: the branch on
@@ -250,7 +259,7 @@ class Simulator {
   }
 
   std::unique_ptr<EventQueue> queue_;
-  BinaryHeapEventQueue* const heap_;
+  HeapEventQueue* const heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   TimePs now_ = 0;
@@ -262,8 +271,8 @@ class Simulator {
   bool stopped_ = false;
 
   // Boundary ambiguity detector (see boundary_ambiguities()): key and
-  // origin of the previously executed event, carried across tombstone
-  // discards. Equal-(time, sched, tie) events pop contiguously, so
+  // origin of the previously executed event, carried across (calendar)
+  // tombstone discards. Equal-(time, sched, tie) events pop contiguously, so
   // checking each adjacent pair catches every run that mixes origins.
   bool have_prev_ = false;
   TimePs prev_time_ = 0;

@@ -20,7 +20,12 @@ RdcnTor::RdcnTor(sim::Simulator& simulator, net::NodeId id, std::string name,
       buffer_(buffer_bytes, dt_alpha) {}
 
 void RdcnTor::add_local_host(net::NodeId host, int down_port) {
-  local_hosts_[host] = down_port;
+  if (host < 0) {
+    throw std::invalid_argument("RdcnTor::add_local_host: negative host id");
+  }
+  const auto i = static_cast<std::size_t>(host);
+  if (i >= local_hosts_.size()) local_hosts_.resize(i + 1, -1);
+  local_hosts_[i] = down_port;
 }
 
 void RdcnTor::init_voqs(int n_tors, std::function<int(net::NodeId)> classify) {
@@ -28,9 +33,9 @@ void RdcnTor::init_voqs(int n_tors, std::function<int(net::NodeId)> classify) {
 }
 
 void RdcnTor::receive(net::Packet pkt, int /*in_port*/) {
-  const auto it = local_hosts_.find(pkt.dst);
-  if (it != local_hosts_.end()) {
-    port(it->second).enqueue(std::move(pkt));
+  const auto dst = static_cast<std::size_t>(pkt.dst);
+  if (pkt.dst >= 0 && dst < local_hosts_.size() && local_hosts_[dst] >= 0) {
+    port(local_hosts_[dst]).enqueue(pkt);
     return;
   }
   if (circuit_port_ < 0 || uplink_port_ < 0) {
@@ -39,7 +44,7 @@ void RdcnTor::receive(net::Packet pkt, int /*in_port*/) {
   // All inter-rack traffic lands in the shared VOQ set via the circuit
   // port (the VoqSet entry point); the packet uplink drains the same
   // set, so wake it too.
-  port(circuit_port_).enqueue(std::move(pkt));
+  port(circuit_port_).enqueue(pkt);
   port(uplink_port_).kick();
 }
 
@@ -68,7 +73,9 @@ Rdcn::Rdcn(net::Network& network, const RdcnConfig& cfg)
       const auto link =
           net_.connect(*tor, *host, cfg_.host_bw, cfg_.host_link_delay);
       tor->add_local_host(host->id(), link.a_port);
-      host_tor_[host->id()] = t;
+      const auto hid = static_cast<std::size_t>(host->id());
+      if (hid >= host_tor_.size()) host_tor_.resize(hid + 1, -1);
+      host_tor_[hid] = t;
       // Host-facing ToR ports join the shared buffer and stamp INT
       // (they are real contention points under fan-in).
       tor->port(link.a_port).set_shared_buffer(&tor->buffer());
@@ -119,11 +126,11 @@ Rdcn::Rdcn(net::Network& network, const RdcnConfig& cfg)
 }
 
 int Rdcn::tor_of_node(net::NodeId id) const {
-  const auto it = host_tor_.find(id);
-  if (it == host_tor_.end()) {
+  const auto i = static_cast<std::size_t>(id);
+  if (id < 0 || i >= host_tor_.size() || host_tor_[i] < 0) {
     throw std::logic_error("Rdcn: node is not a host");
   }
-  return it->second;
+  return host_tor_[i];
 }
 
 sim::TimePs Rdcn::max_base_rtt(std::int32_t mss) const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "host/host.hpp"
@@ -47,7 +46,8 @@ class RdcnTor final : public net::Node {
   void receive(net::Packet pkt, int in_port) override;
   bool forwards() const override { return true; }
 
-  /// Registers a directly attached host and its down-port index.
+  /// Registers a directly attached host (id >= 0) and its down-port
+  /// index.
   void add_local_host(net::NodeId host, int down_port);
   /// Installs the VOQ set once the ToR count and classifier are known.
   void init_voqs(int n_tors, std::function<int(net::NodeId)> classify);
@@ -66,7 +66,8 @@ class RdcnTor final : public net::Node {
   int tor_index_;
   net::DtSharedBuffer buffer_;
   std::unique_ptr<net::VoqSet> voqs_;
-  std::unordered_map<net::NodeId, int> local_hosts_;
+  /// Down-port index per destination node id; -1 for non-local nodes.
+  std::vector<int> local_hosts_;
   int circuit_port_ = -1;
   int uplink_port_ = -1;
 };
@@ -100,7 +101,8 @@ class Rdcn {
   std::vector<host::Host*> hosts_;
   net::Switch* packet_core_ = nullptr;
   net::CircuitSwitchNode* circuit_ = nullptr;
-  std::unordered_map<net::NodeId, int> host_tor_;
+  /// ToR index per node id; -1 for non-host nodes.
+  std::vector<int> host_tor_;
 };
 
 }  // namespace powertcp::topo

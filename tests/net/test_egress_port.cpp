@@ -63,6 +63,26 @@ TEST_F(PortFixture, DeliversAfterSerializationPlusPropagation) {
   EXPECT_EQ(sink.arrivals[0].in_port, 3);
 }
 
+TEST_F(PortFixture, AttachedPortsParkPacketsInTheNodePool) {
+  // Every port of a node parks in the node's one pool, from enqueue
+  // until the packet leaves into the peer's receive().
+  SinkNode node(simulator, 1);
+  node.attach_port(make_port(sim::Bandwidth::gbps(10), 0));
+  node.attach_port(make_port(sim::Bandwidth::gbps(10), 0));
+  node.port(0).enqueue(data_pkt(1, 952));
+  node.port(0).enqueue(data_pkt(2, 952));
+  node.port(1).enqueue(data_pkt(3, 952));
+  EXPECT_EQ(node.pool().live(), 3u);
+  simulator.run();
+  EXPECT_EQ(sink.arrivals.size(), 3u);
+  EXPECT_EQ(node.pool().live(), 0u);
+  // A port cannot move to another pool while packets are parked in it.
+  auto busy = make_port(sim::Bandwidth::gbps(10), 0);
+  busy->enqueue(data_pkt(4, 952));
+  PacketPool other;
+  EXPECT_THROW(busy->use_pool(&other), std::logic_error);
+}
+
 TEST_F(PortFixture, BackToBackPacketsSpacedBySerialization) {
   auto port = make_port(sim::Bandwidth::gbps(10), 0);
   port->enqueue(data_pkt(1, 952));  // 1000 B wire = 800 ns at 10G

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace powertcp::net {
 namespace {
 
@@ -15,20 +17,40 @@ Packet pkt(FlowId flow, std::int32_t payload, std::uint8_t prio = 0,
   return p;
 }
 
+/// The disciplines queue handles; the packets park here, as they would
+/// in their node's pool.
+PacketPool& pool() {
+  static PacketPool p;
+  return p;
+}
+
+template <typename Queue>
+void push(Queue& q, const Packet& p) {
+  q.push(pool().put(p), p);
+}
+
+/// Flow of a popped (or peeked) packet; a popped one leaves the pool.
+FlowId flow_of(std::optional<PacketPool::Handle> h) {
+  return pool().take(h.value()).flow;
+}
+FlowId flow_of(const QueuedPacket* q) {
+  return pool().get(q->handle).flow;
+}
+
 TEST(FifoQueue, PopsInArrivalOrder) {
   FifoQueue q;
-  q.push(pkt(1, 100));
-  q.push(pkt(2, 100));
-  EXPECT_EQ(q.pop()->flow, 1u);
-  EXPECT_EQ(q.pop()->flow, 2u);
+  push(q, pkt(1, 100));
+  push(q, pkt(2, 100));
+  EXPECT_EQ(flow_of(q.pop()), 1u);
+  EXPECT_EQ(flow_of(q.pop()), 2u);
   EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(FifoQueue, TracksBytesIncludingHeaders) {
   FifoQueue q;
-  q.push(pkt(1, 1000));
+  push(q, pkt(1, 1000));
   EXPECT_EQ(q.bytes(), 1000 + kHeaderBytes);
-  q.push(pkt(2, 500));
+  push(q, pkt(2, 500));
   EXPECT_EQ(q.bytes(), 1500 + 2 * kHeaderBytes);
   q.pop();
   EXPECT_EQ(q.bytes(), 500 + kHeaderBytes);
@@ -36,43 +58,43 @@ TEST(FifoQueue, TracksBytesIncludingHeaders) {
 
 TEST(FifoQueue, PeekMatchesPop) {
   FifoQueue q;
-  q.push(pkt(9, 100));
+  push(q, pkt(9, 100));
   ASSERT_NE(q.peek_next(), nullptr);
-  EXPECT_EQ(q.peek_next()->flow, 9u);
-  EXPECT_EQ(q.pop()->flow, 9u);
+  EXPECT_EQ(flow_of(q.peek_next()), 9u);
+  EXPECT_EQ(flow_of(q.pop()), 9u);
   EXPECT_EQ(q.peek_next(), nullptr);
 }
 
 TEST(PriorityQueue, LowerBandWins) {
   PriorityQueue q(8);
-  q.push(pkt(1, 100, 5));
-  q.push(pkt(2, 100, 1));
-  q.push(pkt(3, 100, 3));
-  EXPECT_EQ(q.pop()->flow, 2u);
-  EXPECT_EQ(q.pop()->flow, 3u);
-  EXPECT_EQ(q.pop()->flow, 1u);
+  push(q, pkt(1, 100, 5));
+  push(q, pkt(2, 100, 1));
+  push(q, pkt(3, 100, 3));
+  EXPECT_EQ(flow_of(q.pop()), 2u);
+  EXPECT_EQ(flow_of(q.pop()), 3u);
+  EXPECT_EQ(flow_of(q.pop()), 1u);
 }
 
 TEST(PriorityQueue, FifoWithinBand) {
   PriorityQueue q(8);
-  q.push(pkt(1, 100, 2));
-  q.push(pkt(2, 100, 2));
-  EXPECT_EQ(q.pop()->flow, 1u);
-  EXPECT_EQ(q.pop()->flow, 2u);
+  push(q, pkt(1, 100, 2));
+  push(q, pkt(2, 100, 2));
+  EXPECT_EQ(flow_of(q.pop()), 1u);
+  EXPECT_EQ(flow_of(q.pop()), 2u);
 }
 
 TEST(PriorityQueue, OutOfRangePriorityClampsToLowest) {
   PriorityQueue q(4);
-  q.push(pkt(1, 100, 200));
-  q.push(pkt(2, 100, 3));
+  push(q, pkt(1, 100, 200));
+  push(q, pkt(2, 100, 3));
   // Both land in band 3 -> FIFO.
-  EXPECT_EQ(q.pop()->flow, 1u);
+  EXPECT_EQ(flow_of(q.pop()), 1u);
 }
 
 TEST(PriorityQueue, AggregateAccounting) {
   PriorityQueue q(8);
-  q.push(pkt(1, 100, 0));
-  q.push(pkt(2, 200, 7));
+  push(q, pkt(1, 100, 0));
+  push(q, pkt(2, 200, 7));
   EXPECT_EQ(q.packets(), 2u);
   EXPECT_EQ(q.bytes(), 300 + 2 * kHeaderBytes);
   EXPECT_EQ(q.band_bytes(7), 200 + kHeaderBytes);
@@ -87,12 +109,12 @@ TEST(PriorityQueue, RejectsNonPositiveBands) {
 TEST(VoqSet, ClassifiesByDestination) {
   // Even node ids -> VOQ 0, odd -> VOQ 1.
   VoqSet v(2, [](NodeId n) { return static_cast<int>(n % 2); });
-  v.push(pkt(1, 100, 0, /*dst=*/4));
-  v.push(pkt(2, 100, 0, /*dst=*/5));
+  push(v, pkt(1, 100, 0, /*dst=*/4));
+  push(v, pkt(2, 100, 0, /*dst=*/5));
   EXPECT_EQ(v.voq_bytes(0), 100 + kHeaderBytes);
   EXPECT_EQ(v.voq_bytes(1), 100 + kHeaderBytes);
-  EXPECT_EQ(v.pop_from(0)->flow, 1u);
-  EXPECT_EQ(v.pop_from(1)->flow, 2u);
+  EXPECT_EQ(flow_of(v.pop_from(0)), 1u);
+  EXPECT_EQ(flow_of(v.pop_from(1)), 2u);
 }
 
 TEST(VoqSet, PopFromEmptyVoqIsEmpty) {
@@ -102,8 +124,8 @@ TEST(VoqSet, PopFromEmptyVoqIsEmpty) {
 
 TEST(VoqSet, TotalsAcrossQueues) {
   VoqSet v(3, [](NodeId n) { return static_cast<int>(n); });
-  v.push(pkt(1, 100, 0, 0));
-  v.push(pkt(2, 200, 0, 2));
+  push(v, pkt(1, 100, 0, 0));
+  push(v, pkt(2, 200, 0, 2));
   EXPECT_EQ(v.total_packets(), 2u);
   EXPECT_EQ(v.total_bytes(), 300 + 2 * kHeaderBytes);
   v.pop_from(2);
@@ -112,13 +134,13 @@ TEST(VoqSet, TotalsAcrossQueues) {
 
 TEST(VoqSet, BadClassifierIndexThrows) {
   VoqSet v(2, [](NodeId) { return 7; });
-  EXPECT_THROW(v.push(pkt(1, 100)), std::out_of_range);
+  EXPECT_THROW(push(v, pkt(1, 100)), std::out_of_range);
 }
 
 TEST(VoqSet, PeekDoesNotRemove) {
   VoqSet v(1, [](NodeId) { return 0; });
-  v.push(pkt(5, 100));
-  EXPECT_EQ(v.peek(0)->flow, 5u);
+  push(v, pkt(5, 100));
+  EXPECT_EQ(flow_of(v.peek(0)), 5u);
   EXPECT_EQ(v.total_packets(), 1u);
 }
 
@@ -130,25 +152,25 @@ TEST(FifoQueue, RingWrapsAcrossManyPushPopCycles) {
   FlowId next = 1;
   FlowId expect = 1;
   for (int cycle = 0; cycle < 100; ++cycle) {
-    for (int i = 0; i < 7; ++i) q.push(pkt(next++, 100));
+    for (int i = 0; i < 7; ++i) push(q, pkt(next++, 100));
     for (int i = 0; i < 5; ++i) {
       auto p = q.pop();
       ASSERT_TRUE(p.has_value());
-      EXPECT_EQ(p->flow, expect++);
+      EXPECT_EQ(flow_of(p), expect++);
     }
   }
   EXPECT_EQ(q.packets(), 200u);
   EXPECT_EQ(q.bytes(), 200 * (100 + kHeaderBytes));
-  while (auto p = q.pop()) EXPECT_EQ(p->flow, expect++);
+  while (auto p = q.pop()) EXPECT_EQ(flow_of(p), expect++);
   EXPECT_EQ(q.bytes(), 0);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(PriorityQueue, BandBytesCountersTrackPushAndPop) {
   PriorityQueue q(4);
-  q.push(pkt(1, 100, 0));
-  q.push(pkt(2, 200, 2));
-  q.push(pkt(3, 300, 2));
+  push(q, pkt(1, 100, 0));
+  push(q, pkt(2, 200, 2));
+  push(q, pkt(3, 300, 2));
   EXPECT_EQ(q.band_bytes(0), 100 + kHeaderBytes);
   EXPECT_EQ(q.band_bytes(1), 0);
   EXPECT_EQ(q.band_bytes(2), 500 + 2 * kHeaderBytes);
@@ -163,7 +185,7 @@ TEST(PriorityQueue, BandBytesCountersTrackPushAndPop) {
 
 TEST(PriorityQueue, BandBytesCountsClampedPushesInLowestBand) {
   PriorityQueue q(2);
-  q.push(pkt(1, 100, 7));  // clamps to band 1
+  push(q, pkt(1, 100, 7));  // clamps to band 1
   EXPECT_EQ(q.band_bytes(1), 100 + kHeaderBytes);
   EXPECT_EQ(q.band_bytes(0), 0);
 }

@@ -149,6 +149,23 @@ TEST_F(SwitchFixture, SetRoutesRejectsEmptySet) {
   EXPECT_THROW(sw->set_routes(1, {}), std::invalid_argument);
 }
 
+TEST_F(SwitchFixture, SetRoutesRejectsNegativeDestination) {
+  auto* sw = network.add_node<Switch>("sw", SwitchConfig{});
+  EXPECT_THROW(sw->set_routes(-1, {0}), std::invalid_argument);
+  EXPECT_THROW(sw->set_routes(kInvalidNode, {0}), std::invalid_argument);
+}
+
+TEST_F(SwitchFixture, RoutesToUnknownDestinationIsNull) {
+  auto* sw = network.add_node<Switch>("sw", SwitchConfig{});
+  sw->set_routes(5, {0, 1});
+  ASSERT_NE(sw->routes_to(5), nullptr);
+  EXPECT_EQ(*sw->routes_to(5), (std::vector<int>{0, 1}));
+  EXPECT_EQ(sw->routes_to(3), nullptr);     // below a known id, unset
+  EXPECT_EQ(sw->routes_to(6), nullptr);     // beyond every known id
+  EXPECT_EQ(sw->routes_to(1000), nullptr);
+  EXPECT_EQ(sw->routes_to(-1), nullptr);
+}
+
 TEST_F(SwitchFixture, EcnPerGbpsScalesThresholds) {
   SwitchConfig cfg;
   cfg.ecn.enabled = true;

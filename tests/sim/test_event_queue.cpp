@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -68,7 +71,7 @@ TEST(CalendarEventQueue, CausalTimestampBreaksSameTimeTies) {
 TEST(CalendarEventQueue, MatchesHeapOnRandomizedWorkload) {
   // Dense bursts, sparse gaps, heavy same-time ties, and interleaved
   // pops — the pop sequence must be identical to the binary heap's.
-  BinaryHeapEventQueue heap;
+  HeapEventQueue heap;
   CalendarEventQueue cal;
   Rng rng(0xC0FFEEull);
   TimePs clock = 0;
@@ -149,6 +152,200 @@ TEST(CalendarEventQueue, AllEventsAtOneInstant) {
     q.pop();
   }
   EXPECT_EQ(q.size(), 0u);
+}
+
+/// Pop-order key of an entry: (time, sched, tie, seq), a strict total
+/// order because seq is unique.
+using Key = std::tuple<TimePs, TimePs, std::uint32_t, std::uint64_t>;
+Key key_of(const EventEntry& e) { return {e.time, e.sched, e.tie, e.seq}; }
+
+TEST(HeapEventQueue, EraseKeepsPopOrderOnRandomizedWorkload) {
+  // Pushes with heavy (time, sched) ties split by tie tokens, erases of
+  // arbitrary queued slots, and interleaved pops: every pop must be the
+  // minimum of an ordered reference set, and size() must track it.
+  HeapEventQueue heap;
+  std::set<Key> ref;
+  std::vector<EventEntry> queued_by_slot(256);
+  std::vector<std::uint32_t> queued_slots;  // slots currently queued
+  std::vector<std::uint32_t> free_slots;
+  for (std::uint32_t i = 0; i < 256; ++i) free_slots.push_back(i);
+  Rng rng(0x4A3Eull);
+  std::uint64_t seq = 1;
+  const auto forget = [&](std::uint32_t slot) {
+    queued_slots.erase(
+        std::find(queued_slots.begin(), queued_slots.end(), slot));
+    free_slots.push_back(slot);
+  };
+  for (int step = 0; step < 20'000; ++step) {
+    const double r = rng.uniform();
+    if (r < 0.5 && !free_slots.empty()) {
+      const std::uint32_t slot = free_slots.back();
+      free_slots.pop_back();
+      EventEntry e{};
+      e.time = nanoseconds(rng.uniform_int(0, 20));
+      e.sched = nanoseconds(rng.uniform_int(0, 3));
+      e.tie = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+      e.seq = seq++;
+      e.slot = slot;
+      heap.push(e);
+      ref.insert(key_of(e));
+      queued_by_slot[slot] = e;
+      queued_slots.push_back(slot);
+    } else if (r < 0.75 && !queued_slots.empty()) {
+      const std::uint32_t slot = queued_slots[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(queued_slots.size()) -
+                                 1))];
+      heap.erase(slot);
+      ref.erase(key_of(queued_by_slot[slot]));
+      forget(slot);
+    } else if (!ref.empty()) {
+      const EventEntry* top = heap.peek();
+      ASSERT_NE(top, nullptr);
+      ASSERT_EQ(key_of(*top), *ref.begin()) << "step " << step;
+      const std::uint32_t slot = top->slot;
+      heap.pop();
+      ref.erase(ref.begin());
+      forget(slot);
+    }
+    ASSERT_EQ(heap.size(), ref.size()) << "step " << step;
+  }
+  while (const EventEntry* top = heap.peek()) {
+    ASSERT_EQ(key_of(*top), *ref.begin());
+    heap.pop();
+    ref.erase(ref.begin());
+  }
+  EXPECT_TRUE(ref.empty());
+}
+
+/// RTO-style timer churn on a Simulator: every "ack" cancels and
+/// re-arms its flow's retransmission timer, schedules tied deliveries
+/// that share (time, sched) and differ only in their tie token, and
+/// hands some deliveries in through schedule_from with a causal stamp
+/// in the past. New events always land strictly after now, so the
+/// executed sequence must be the sorted set of every event that was
+/// scheduled and not cancelled.
+struct TimerChurn {
+  explicit TimerChurn(QueueKind kind) : s(kind) {}
+
+  Simulator s;
+  Rng rng{0x7E57ull};
+  std::vector<Key> keys;        ///< by schedule order
+  std::vector<bool> cancelled;  ///< by schedule order
+  std::vector<Key> executed;
+  std::vector<EventId> rto;
+  std::vector<std::size_t> rto_index;
+  std::vector<bool> rto_live;
+  std::size_t max_tombstones = 0;
+  static constexpr TimePs kHorizon = 200'000'000;  // 200 us
+
+  void note_tombstones() {
+    max_tombstones = std::max(max_tombstones, s.tombstones());
+  }
+  template <typename Schedule>
+  std::size_t add(TimePs t, TimePs sched, std::uint32_t tie,
+                  Schedule&& schedule) {
+    const std::size_t i = keys.size();
+    keys.emplace_back();
+    cancelled.push_back(false);
+    const EventId id = schedule(i);
+    keys[i] = Key{t, sched, tie, id.seq};
+    return i;
+  }
+  std::size_t at(TimePs t, std::uint32_t tie, void (TimerChurn::*body)(int),
+                 int flow) {
+    return add(t, s.now(), tie, [&](std::size_t i) {
+      return s.schedule_tied_at(t, tie, [this, i, body, flow] {
+        executed.push_back(keys[i]);
+        note_tombstones();
+        (this->*body)(flow);
+      });
+    });
+  }
+  void arm_rto(int f, TimePs delay) {
+    const auto fi = static_cast<std::size_t>(f);
+    if (rto_live[fi]) {
+      s.cancel(rto[fi]);
+      cancelled[rto_index[fi]] = true;
+      note_tombstones();
+    }
+    rto_index[fi] = add(s.now() + delay, s.now(), 0, [&](std::size_t i) {
+      return rto[fi] = s.schedule_at(s.now() + delay, [this, i, f] {
+               executed.push_back(keys[i]);
+               note_tombstones();
+               on_rto(f);
+             });
+    });
+    rto_live[fi] = true;
+  }
+  void nop(int) {}
+  void on_rto(int f) {
+    rto_live[static_cast<std::size_t>(f)] = false;
+    if (s.now() < kHorizon) arm_rto(f, nanoseconds(300));  // backoff
+  }
+  void on_ack(int f) {
+    arm_rto(f, nanoseconds(100));
+    if (s.now() >= kHorizon) return;
+    // Tied deliveries: same (time, sched), distinct tokens.
+    const TimePs t = s.now() + nanoseconds(10 * rng.uniform_int(1, 4));
+    const auto n_tied = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+    for (std::uint32_t k = 0; k < n_tied; ++k) {
+      at(t, 1 + ((k + static_cast<std::uint32_t>(f)) % 5),
+         &TimerChurn::nop, f);
+    }
+    if (rng.uniform() < 0.3) {
+      // A cross-shard-style delivery stamped in the past.
+      const TimePs sched = s.now() - std::min<TimePs>(s.now(), nanoseconds(5));
+      const auto tie = static_cast<std::uint32_t>(rng.uniform_int(0, 2));
+      add(t, sched, tie, [&](std::size_t i) {
+        return s.schedule_from(
+            sched, t,
+            [this, i] {
+              executed.push_back(keys[i]);
+              note_tombstones();
+            },
+            /*origin=*/1, tie);
+      });
+    }
+    // The next ack usually comes before the RTO would fire.
+    const TimePs gap = rng.uniform() < 0.9
+                           ? nanoseconds(10 * rng.uniform_int(1, 8))
+                           : nanoseconds(150);
+    at(s.now() + gap, 0, &TimerChurn::on_ack, f);
+  }
+
+  void run(int flows) {
+    rto.resize(static_cast<std::size_t>(flows));
+    rto_index.resize(static_cast<std::size_t>(flows));
+    rto_live.assign(static_cast<std::size_t>(flows), false);
+    for (int f = 0; f < flows; ++f) {
+      at(nanoseconds(10 * rng.uniform_int(0, 5)), 0, &TimerChurn::on_ack, f);
+    }
+    s.run();
+  }
+};
+
+TEST(Simulator, EagerCancelMatchesSortedReferenceOnRtoChurn) {
+  TimerChurn heap(QueueKind::kBinaryHeap);
+  heap.run(64);
+  std::vector<Key> expected;
+  for (std::size_t i = 0; i < heap.keys.size(); ++i) {
+    if (!heap.cancelled[i]) expected.push_back(heap.keys[i]);
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_GT(expected.size(), 10'000u);
+  ASSERT_GT(heap.keys.size() - expected.size(), 1'000u)
+      << "the workload must cancel plenty of timers";
+  EXPECT_EQ(heap.executed, expected);
+  // The pending set held live events only, throughout.
+  EXPECT_EQ(heap.max_tombstones, 0u);
+  EXPECT_EQ(heap.s.tombstones(), 0u);
+  EXPECT_FALSE(heap.s.pending());
+
+  // The lazy calendar runs the identical event sequence.
+  TimerChurn cal(QueueKind::kCalendar);
+  cal.run(64);
+  EXPECT_EQ(cal.executed, heap.executed);
+  EXPECT_GT(cal.max_tombstones, 0u);
 }
 
 TEST(SimulatorQueueKind, CalendarRunMatchesHeapRun) {

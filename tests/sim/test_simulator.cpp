@@ -142,13 +142,20 @@ TEST(Simulator, StaleCancelBookkeepingStaysBounded) {
 }
 
 TEST(Simulator, TombstonesDrainOnPop) {
+  // The default heap backend cancels eagerly: the queue entry goes at
+  // cancel time, so no tombstone is ever left to drain, and the run
+  // executes exactly the live events. (The calendar keeps lazy
+  // tombstones; SimulatorQueueKind.CancelAndTombstonesWorkOnCalendar
+  // pins those.)
   Simulator s;
   std::vector<EventId> ids;
   for (int i = 0; i < 10; ++i) {
     ids.push_back(s.schedule_at(nanoseconds(i), [] {}));
   }
-  for (int i = 0; i < 10; i += 2) s.cancel(ids[static_cast<size_t>(i)]);
-  EXPECT_EQ(s.tombstones(), 5u);
+  for (int i = 0; i < 10; i += 2) {
+    s.cancel(ids[static_cast<size_t>(i)]);
+    EXPECT_EQ(s.tombstones(), 0u) << "after cancelling event " << i;
+  }
   s.run();
   EXPECT_EQ(s.tombstones(), 0u);
   EXPECT_EQ(s.events_executed(), 5u);
