@@ -156,149 +156,6 @@ std::uint64_t run_packet_sim(sim::QueueKind kind, sim::TimePs horizon) {
   return simulator.events_executed();
 }
 
-// ---- burst-shaped workloads (sim_burst off vs on) ------------------
-// Each runs the same logical event sequence twice: budget 1 (the
-// per-event engine) and budget 64 (burst-granular). events_executed()
-// counts LOGICAL events in both modes — the bench aborts if the modes
-// disagree — so the Mev/s ratio is the real per-event win. Callbacks
-// capture one 8-byte state pointer, keeping both modes allocation-free
-// per event (pinned by the allocs/ev columns).
-
-/// Ack-train shape: a receiver NIC's 64-packet ack train. Off pays 64
-/// schedule/pop cycles per train; on pays one burst entry of count 64
-/// (the EgressPort dequeue-N finish-event collapse, at engine level).
-struct AckTrainState {
-  sim::Simulator* s;
-  std::uint64_t trains_left;
-  std::uint64_t pending;  ///< logical acks outstanding in this train
-  std::uint64_t acked;
-  std::uint32_t train;
-  bool burst;
-};
-
-void ack_train_next(AckTrainState* st);
-
-void ack_train_on_ack(AckTrainState* st) {
-  const std::uint32_t n = st->s->burst_count();
-  st->acked += n;
-  st->pending -= n;
-  if (st->pending == 0) ack_train_next(st);
-}
-
-void ack_train_next(AckTrainState* st) {
-  if (st->trains_left == 0) return;
-  --st->trains_left;
-  st->pending = st->train;
-  const sim::TimePs t = st->s->now() + sim::nanoseconds(100);
-  if (st->burst) {
-    st->s->schedule_burst_at(t, st->train,
-                             [st] { ack_train_on_ack(st); });
-  } else {
-    for (std::uint32_t i = 0; i < st->train; ++i) {
-      st->s->schedule_at(t, [st] { ack_train_on_ack(st); });
-    }
-  }
-}
-
-std::uint64_t run_ack_train(sim::QueueKind kind, bool burst,
-                            std::uint64_t events) {
-  sim::Simulator s(kind);
-  s.set_burst_budget(burst ? 64 : 1);
-  constexpr std::uint32_t kTrain = 64;
-  AckTrainState st{&s, events / kTrain, 0, 0, kTrain, burst};
-  ack_train_next(&st);
-  s.run();
-  return s.events_executed();
-}
-
-/// Incast-drain shape: 32 same-time arrivals sharing a merge key. Off
-/// pops and dispatches each; on pop-merges the wave into ONE callback
-/// carrying count 32 (schedule cost is identical by construction, so
-/// this row isolates the pop-side win).
-struct IncastState {
-  sim::Simulator* s;
-  std::uint64_t waves_left;
-  std::uint64_t pending;
-  std::uint32_t fan;
-};
-
-void incast_next(IncastState* st);
-
-void incast_on_pkt(IncastState* st) {
-  st->pending -= st->s->burst_count();
-  if (st->pending == 0) incast_next(st);
-}
-
-void incast_next(IncastState* st) {
-  if (st->waves_left == 0) return;
-  --st->waves_left;
-  st->pending = st->fan;
-  const sim::TimePs t = st->s->now() + sim::nanoseconds(100);
-  for (std::uint32_t i = 0; i < st->fan; ++i) {
-    st->s->schedule_burst_at(t, 1, [st] { incast_on_pkt(st); },
-                             /*merge_key=*/1);
-  }
-}
-
-std::uint64_t run_incast_drain(sim::QueueKind kind, bool burst,
-                               std::uint64_t events) {
-  sim::Simulator s(kind);
-  s.set_burst_budget(burst ? 64 : 1);
-  constexpr std::uint32_t kFan = 32;
-  IncastState st{&s, events / kFan, 0, kFan};
-  incast_next(&st);
-  s.run();
-  return s.events_executed();
-}
-
-/// Paced-stream shape: a sender releasing packets every 100 ns. Off
-/// arms one timer per packet; on arms one timer per 8-packet quantum
-/// (host::FlowSenderConfig::pacing_quantum, at engine level).
-struct PacedState {
-  sim::Simulator* s;
-  std::uint64_t quanta_left;
-  std::uint64_t pending;
-  std::uint64_t sent;
-  std::uint32_t quantum;
-  bool burst;
-};
-
-void paced_next(PacedState* st);
-
-void paced_on_tick(PacedState* st) {
-  const std::uint32_t n = st->s->burst_count();
-  st->sent += n;
-  st->pending -= n;
-  if (st->pending == 0) paced_next(st);
-}
-
-void paced_next(PacedState* st) {
-  if (st->quanta_left == 0) return;
-  --st->quanta_left;
-  st->pending = st->quantum;
-  const sim::TimePs tick = sim::nanoseconds(100);
-  if (st->burst) {
-    st->s->schedule_burst_at(st->s->now() + tick * st->quantum, st->quantum,
-                             [st] { paced_on_tick(st); });
-  } else {
-    for (std::uint32_t i = 1; i <= st->quantum; ++i) {
-      st->s->schedule_at(st->s->now() + tick * i,
-                         [st] { paced_on_tick(st); });
-    }
-  }
-}
-
-std::uint64_t run_paced_stream(sim::QueueKind kind, bool burst,
-                               std::uint64_t events) {
-  sim::Simulator s(kind);
-  s.set_burst_budget(burst ? 64 : 1);
-  constexpr std::uint32_t kQuantum = 8;
-  PacedState st{&s, events / kQuantum, 0, 0, kQuantum, burst};
-  paced_next(&st);
-  s.run();
-  return s.events_executed();
-}
-
 /// Sharded engine workload: the paper's fat-tree (quick preset), cut
 /// per pod, with POD-LOCAL long flows — every host streams to the
 /// neighboring rack of its own pod, so no packet crosses the cut and
@@ -479,48 +336,6 @@ int main(int argc, char** argv) {
     t.rows.push_back(std::move(row));
   }
   reporter.add(std::move(t));
-
-  // Burst-granular engine: the same logical event sequence with
-  // sim_burst off (budget 1) vs on (budget 64), on the default heap
-  // backend (bursting is backend-orthogonal). The ack-train speedup
-  // carries a calibrated floor in bench/baselines/perf.json.
-  harness::ResultTable bt;
-  bt.title = "burst-granular event engine: sim_burst=off vs on (same "
-             "logical events both modes; ack-train speedup floor-gated)";
-  bt.slug = "event_engine_burst";
-  bt.key_columns = {"workload"};
-  bt.value_columns = {"off Mev/s", "on Mev/s", "speedup", "events",
-                      "off allocs/ev", "on allocs/ev"};
-  const struct {
-    const char* name;
-    std::uint64_t (*fn)(sim::QueueKind, bool, std::uint64_t);
-  } burst_loads[] = {
-      {"ack-train x64", run_ack_train},
-      {"incast drain x32", run_incast_drain},
-      {"paced stream q8", run_paced_stream},
-  };
-  for (const auto& b : burst_loads) {
-    const Measurement off = measure(
-        [&] { return b.fn(sim::QueueKind::kBinaryHeap, false, scale); });
-    const Measurement on = measure(
-        [&] { return b.fn(sim::QueueKind::kBinaryHeap, true, scale); });
-    if (off.events != on.events) {
-      std::fprintf(stderr, "FATAL: %s executed %llu (off) vs %llu (on) "
-                   "logical events — burst modes diverged\n",
-                   b.name, static_cast<unsigned long long>(off.events),
-                   static_cast<unsigned long long>(on.events));
-      return 1;
-    }
-    harness::ResultTable::Row row;
-    row.keys = {Cell(std::string(b.name))};
-    row.values = {Cell(off.mops, 2), Cell(on.mops, 2),
-                  Cell(off.mops > 0 ? on.mops / off.mops : 0, 2),
-                  Cell::integer(static_cast<std::int64_t>(off.events)),
-                  Cell(off.allocs_per_event, 2),
-                  Cell(on.allocs_per_event, 2)};
-    bt.rows.push_back(std::move(row));
-  }
-  reporter.add(std::move(bt));
 
   // Sharded engine: the paper's fat-tree (quick preset) cut per pod,
   // pod-local traffic so the partitions stay causally independent.

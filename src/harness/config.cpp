@@ -1,5 +1,6 @@
 #include "harness/config.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -188,7 +189,7 @@ double SectionView::get_double(const std::string& key, double fallback) {
   const auto* e = take(key);
   if (e == nullptr) return fallback;
   const auto v = cc::parse_double_value(e->value);
-  if (!v) fail(*e, "number");
+  if (!v || !std::isfinite(*v)) fail(*e, "number");
   return *v;
 }
 
@@ -223,7 +224,7 @@ std::vector<double> SectionView::get_double_list(
   std::vector<double> out;
   for (const auto& piece : split_config_list(e->value)) {
     const auto v = cc::parse_double_value(piece);
-    if (!v) fail(*e, "number list");
+    if (!v || !std::isfinite(*v)) fail(*e, "number list");
     out.push_back(*v);
   }
   return out;

@@ -74,6 +74,9 @@ class SectionView {
   bool has(const std::string& key) const;
 
   std::string get_string(const std::string& key, const std::string& fallback);
+  /// Numbers must be finite: `nan`, `inf` and out-of-range literals
+  /// such as `1e400` throw like any other non-number (as do list
+  /// elements in get_double_list).
   double get_double(const std::string& key, double fallback);
   std::int64_t get_int(const std::string& key, std::int64_t fallback);
   bool get_bool(const std::string& key, bool fallback);

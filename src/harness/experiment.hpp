@@ -85,7 +85,7 @@ struct FatTreeExperiment {
   /// arrival's sender. Read-only probes — enabling it never changes
   /// the simulation's results (pinned by golden tests).
   TelemetryConfig telemetry;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// Host batching tunables (`[burst]`; defaults = per-packet hosts).
   BurstConfig burst;
 };
 

@@ -674,17 +674,6 @@ RunnerConfig load_runner_config(const ConfigFile& file,
     throw ConfigError(file.origin() + ": [experiment] sim_queue = '" + queue +
                       "' is not one of heap, calendar");
   }
-  // Burst-granular event processing. Off is byte-identical to the
-  // per-packet engine (pinned by the golden tests); on is pinned
-  // table-identical for every shipped config.
-  const std::string burst_knob = exp.get_string("sim_burst", "off");
-  bool burst_on = false;
-  if (burst_knob == "on") {
-    burst_on = true;
-  } else if (burst_knob != "off") {
-    throw ConfigError(file.origin() + ": [experiment] sim_burst = '" +
-                      burst_knob + "' is not one of on, off");
-  }
   // Partitioned event engine. Every value is byte-identical to
   // sim_threads = 1 (pinned by the sharded golden tests); 1 runs the
   // exact sequential engine with no threads spawned.
@@ -706,8 +695,6 @@ RunnerConfig load_runner_config(const ConfigFile& file,
   if (options.force_telemetry) ctx.telemetry.enabled = true;
 
   ctx.burst = load_burst_config(file);
-  ctx.burst.enabled = burst_on;
-  if (options.force_burst != 0) ctx.burst.enabled = options.force_burst > 0;
 
   // Optional [aqm] section: the switch marking/drop policy. The
   // default ("red") keeps every pre-AQM-layer config byte-identical

@@ -37,10 +37,6 @@
 ///                              # deterministic time-series shapes)
 ///                              # ignore them
 ///   sim_queue = heap           # heap | calendar (backend-identical)
-///   sim_burst = off            # on | off; burst-granular event engine
-///                              # (off is byte-identical to the
-///                              # per-packet engine, on is pinned
-///                              # table-identical for shipped configs)
 ///   sim_threads = 1            # event-engine shards per simulation
 ///                              # point (conservative-lookahead
 ///                              # partitioned DES; byte-identical to
@@ -61,8 +57,7 @@
 ///   tupdate_us = 20            # PI controllers: update period
 ///   interval_us = 100          # CoDel: above-target window / law base
 ///
-///   [burst]                    # optional; burst tunables (burst.hpp)
-///   budget = 64                # max events coalesced per callback
+///   [burst]                    # optional; host batching (burst.hpp)
 ///   ack_agg_us = 0             # receiver ack aggregation window
 ///   pacing_quantum = 1         # packets per pacing-timer tick
 ///
@@ -198,10 +193,6 @@ struct RunnerLoadOptions {
   /// the file has no `[telemetry] enabled = true` (file-set capacity/
   /// period/flow keys still apply).
   bool force_telemetry = false;
-  /// `powertcp_run --sim-burst=on|off`: override `[experiment]
-  /// sim_burst` (0 = no override, 1 = force on, -1 = force off).
-  /// File-set `[burst]` tunables still apply.
-  int force_burst = 0;
   /// `powertcp_run --sim-threads=N`: override `[experiment]
   /// sim_threads` (0 = no override). Values > 1 shard each simulation
   /// point across cores with conservative lookahead.

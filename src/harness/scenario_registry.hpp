@@ -51,9 +51,8 @@ struct ScenarioContext {
   /// Parsed `[telemetry]` section (possibly forced on by the CLI);
   /// loaders copy it into their kind's scenario config.
   TelemetryConfig telemetry;
-  /// Parsed `[experiment] sim_burst` + `[burst]` section (possibly
-  /// forced by the CLI); loaders copy it into their kind's scenario
-  /// config. Off is byte-identical to the per-packet engine.
+  /// Parsed `[burst]` section; loaders copy it into their kind's
+  /// scenario config. The defaults are the per-packet host behavior.
   BurstConfig burst;
   /// Parsed `[aqm]` section (kind validated against net::AqmRegistry).
   /// Loaders with switches copy it into their topology config; the

@@ -57,7 +57,7 @@ struct IncastScenario {
   /// Optional flight recorder on the receiver's ToR downlink + the
   /// long foreground flow.
   TelemetryConfig telemetry;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// Host batching tunables (`[burst]`; defaults = per-packet hosts).
   BurstConfig burst;
 };
 
@@ -95,7 +95,7 @@ struct RdcnScenario {
   /// Optional flight recorder on ToR-0's circuit port + the
   /// `telemetry.flow`-th rack-0 flow.
   TelemetryConfig telemetry;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// Host batching tunables (`[burst]`; defaults = per-packet hosts).
   BurstConfig burst;
 };
 
@@ -150,7 +150,7 @@ struct DumbbellScenario {
   /// Optional flight recorder on the bottleneck port + the
   /// `telemetry.flow`-th flow (sender flow-1).
   TelemetryConfig telemetry;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// Host batching tunables (`[burst]`; defaults = per-packet hosts).
   BurstConfig burst;
 };
 
@@ -209,7 +209,7 @@ struct HomaOcScenario {
   /// panel taps the receiver's ToR downlink; message transports have
   /// no sender window, so cwnd/pace read 0 there).
   TelemetryConfig telemetry;
-  /// Burst-granular event processing, applied to both panels.
+  /// Host batching tunables (`[burst]`), applied to both panels.
   BurstConfig burst;
 };
 
@@ -264,7 +264,7 @@ struct MixedCcScenario {
   /// Parallel-engine shards (1 = sequential verbatim); results are
   /// thread-count-independent.
   int sim_threads = 1;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// Host batching tunables (`[burst]`; defaults = per-packet hosts).
   BurstConfig burst;
 
   // Cell axes (outer product, mix-major):

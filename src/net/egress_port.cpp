@@ -75,12 +75,7 @@ void EgressPort::kick() {
       sim_.cancel(pending_kick_id_);
       pending_kick_at_ = sim::kTimeInfinity;
     }
-    const std::uint32_t budget = sim_.burst_budget();
-    if (budget > 1 && burst_eligible()) {
-      start_tx_burst(*sel.pkt, budget);
-    } else {
-      start_tx(*sel.pkt);
-    }
+    start_tx(*sel.pkt);
     return;
   }
   if (sel.retry_at == sim::kTimeInfinity) return;
@@ -138,78 +133,21 @@ void EgressPort::start_tx(PacketPool::Handle h) {
   tx_event_ = sim_.schedule_in(tx_time, [this, h] { finish_tx(h); });
 }
 
-bool EgressPort::burst_eligible() const {
-  // Every per-packet side effect must be absent: AQM and shared-buffer
-  // verdicts read intermediate backlogs, INT stamps intermediate
-  // queue/tx state, and monitors/sojourn sample per packet. The peer
-  // must be a non-forwarding endpoint: a train's deliveries get their
-  // FIFO tie-break seq at drain time rather than one serialization
-  // apart, and at a forwarding node that can reorder same-picosecond
-  // arrivals from different upstream ports — changing downstream queue
-  // evolution. At an endpoint same-instant processing is commutative.
-  return aqm_ == nullptr && !int_enabled_ && shared_buffer_ == nullptr &&
-         queue_monitor_ == nullptr && tx_monitor_ == nullptr &&
-         !sojourn_cb_ && (peer_ == nullptr || !peer_->forwards()) &&
-         supports_burst_drain();
-}
-
-void EgressPort::start_tx_burst(PacketPool::Handle first,
-                                std::uint32_t budget) {
-  busy_ = true;
-  // Accounting and delivery times are computed per packet, exactly as
-  // the per-event path would: packet i finishes serializing at
-  // finish_i = now + sum(tx_time_1..i) and arrives finish_i +
-  // propagation later. Only the port's own finish bookkeeping is
-  // coalesced — the n finish_tx events collapse into one burst event of
-  // count n, so events_executed() parity with the per-event engine
-  // holds and the wire becomes free at the same instant.
-  sim::TimePs finish = sim_.now();
-  std::uint32_t n = 0;
-  PacketPool::Handle h = first;
-  while (true) {
-    ++n;
-    const std::int64_t wire = pool_->get(h).wire_bytes();
-    tx_bytes_ += wire;
-    ++tx_packets_;
-    finish += bandwidth_.tx_time(wire);
-    if (remote_ != nullptr) {
-      // Cross-shard link: the destination shard schedules the delivery
-      // at its next window barrier (same per-packet delivery times).
-      // The causal stamp is now(), matching the burst path's local
-      // schedule_tied_at time.
-      remote_->send(finish + propagation_, sim_.now(), tie_token_,
-                    pool_->take(h));
-    } else {
-      deliver(h, finish + propagation_);
-    }
-    if (n >= budget) break;
-    const SelectResult sel = try_select();
-    if (!sel.pkt.has_value()) break;
-    h = *sel.pkt;
-  }
-  tx_event_ = sim_.schedule_burst_at(finish, n, [this] {
-    busy_ = false;
-    kick();
-  });
-}
-
 void EgressPort::finish_tx(PacketPool::Handle h) {
   busy_ = false;
   const std::int64_t wire = pool_->get(h).wire_bytes();
   if (shared_buffer_ != nullptr) shared_buffer_->on_dequeue(wire);
   if (tx_monitor_ != nullptr) tx_monitor_->add_bytes(sim_.now(), wire);
-  deliver(h, sim_.now() + propagation_);
-  kick();
-}
-
-void EgressPort::deliver(PacketPool::Handle h, sim::TimePs arrive_at) {
+  // The packet leaves the pool when it arrives; without a peer it is
+  // dropped now.
   if (peer_ == nullptr) {
     pool_->release(h);
-    return;
+  } else {
+    sim_.schedule_tied_at(sim_.now() + propagation_, tie_token_, [this, h] {
+      peer_->receive(pool_->take(h), peer_in_port_);
+    });
   }
-  sim_.schedule_tied_at(arrive_at, tie_token_, [this, h] {
-    peer_->receive(pool_->take(h), peer_in_port_);
-  });
+  kick();
 }
 
 void EgressPort::finish_remote_tx(std::int64_t wire_bytes) {

@@ -136,35 +136,18 @@ class EgressPort {
   /// Chooses the next packet to serialize, or a retry time.
   virtual SelectResult try_select() = 0;
 
-  /// True iff this port's selection is strict-FIFO so a whole
-  /// transmission train can be pre-selected without changing which
-  /// packets go on the wire (see QueueDiscipline::strict_fifo). Ports
-  /// with preemptable or externally-gated selection keep the default.
-  virtual bool supports_burst_drain() const { return false; }
-
   sim::Simulator& simulator() { return sim_; }
   const sim::Simulator& simulator() const { return sim_; }
 
  private:
   void start_tx(PacketPool::Handle h);
   void finish_tx(PacketPool::Handle h);
-  /// Schedules the parked packet's delivery to the peer `arrive_at`;
-  /// the packet leaves the pool when it arrives. Without a peer the
-  /// packet is dropped now.
-  void deliver(PacketPool::Handle h, sim::TimePs arrive_at);
   /// Serialization-complete bookkeeping for the cross-shard path: the
   /// packet itself was already published to the remote channel at
   /// start_tx (early publication — its delivery time, causal stamp and
   /// content are final there), so the finish event only frees the wire
   /// and settles byte accounting.
   void finish_remote_tx(std::int64_t wire_bytes);
-  /// Per-packet observers or policies would fire at intermediate times
-  /// inside a burst, so the drain only engages when none is installed.
-  bool burst_eligible() const;
-  /// Serializes up to `budget` packets as one train: per-packet
-  /// serialization-time accounting and exact per-packet delivery times,
-  /// but a single burst-granular finish event for the whole train.
-  void start_tx_burst(PacketPool::Handle first, std::uint32_t budget);
   void sample_queue();
 
   sim::Simulator& sim_;
@@ -214,7 +197,6 @@ class BasicPort final : public EgressPort {
     queue_->push(h, pkt);
   }
   SelectResult try_select() override;
-  bool supports_burst_drain() const override { return queue_->strict_fifo(); }
 
  private:
   std::unique_ptr<QueueDiscipline> queue_;

@@ -67,14 +67,6 @@ class QueueDiscipline {
   virtual std::int64_t bytes() const = 0;
   virtual std::size_t packets() const = 0;
   bool empty() const { return packets() == 0; }
-
-  /// True iff selection order is insensitive to packets arriving between
-  /// pops: popping k packets back-to-back yields the same k packets, in
-  /// the same order, as popping them interleaved with arbitrary pushes.
-  /// A port may then pre-select a whole transmission train (burst drain)
-  /// without changing which packets go on the wire. Priority disciplines
-  /// must return false — a high-band arrival mid-train would preempt.
-  virtual bool strict_fifo() const { return false; }
 };
 
 /// Plain FIFO.
@@ -87,7 +79,6 @@ class FifoQueue final : public QueueDiscipline {
   }
   std::int64_t bytes() const override { return bytes_; }
   std::size_t packets() const override { return ring_.size(); }
-  bool strict_fifo() const override { return true; }
 
  private:
   PacketRing ring_;

@@ -53,7 +53,6 @@ class Switch : public Node {
   const std::vector<int>* routes_to(NodeId dst) const;
 
   void receive(Packet pkt, int in_port) override;
-  bool forwards() const override { return true; }
 
   DtSharedBuffer& shared_buffer() { return buffer_; }
   const SwitchConfig& config() const { return cfg_; }

@@ -8,7 +8,7 @@
 #include "sim/time.hpp"
 
 /// \file event_queue.hpp
-/// Pending-event storage behind the Simulator: 40-byte POD (time,
+/// Pending-event storage behind the Simulator: 32-byte POD (time,
 /// sched, tie, seq, slot) entries ordered by (time, sched, tie, seq).
 /// Two interchangeable backends share one interface so a run can pick
 /// its structure without changing event semantics:
@@ -48,13 +48,7 @@ namespace powertcp::sim {
 
 /// One pending event. `slot` indexes the Simulator's slot table, which
 /// holds the callback; `sched` is the causal timestamp (see above) and
-/// `seq` disambiguates remaining ties and stale slots. `burst_key`
-/// rides in what used to be struct padding: a nonzero key marks the
-/// event as burst-mergeable — when the Simulator's burst budget allows,
-/// contiguous same-(time, key) entries are delivered as ONE callback
-/// invocation carrying their summed count (see
-/// Simulator::schedule_burst_at). Key 0 (the default) never merges, so
-/// the per-event path is untouched.
+/// `seq` disambiguates remaining ties and stale slots.
 ///
 /// `tie` is the TIE TOKEN, ordered between `sched` and `seq`: a
 /// topology-derived identifier of the producing egress port (see
@@ -71,9 +65,10 @@ struct EventEntry {
   TimePs sched;
   std::uint64_t seq;
   std::uint32_t slot;
-  std::uint32_t burst_key = 0;
   std::uint32_t tie = 0;
 };
+static_assert(sizeof(EventEntry) == 32,
+              "EventEntry must stay two entries per 64-byte cache line");
 
 /// True when a precedes b in pop order.
 inline bool earlier(const EventEntry& a, const EventEntry& b) {

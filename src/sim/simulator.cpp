@@ -1,18 +1,20 @@
 #include "sim/simulator.hpp"
 
+#include <stdexcept>
+
 namespace powertcp::sim {
 
 EventId Simulator::schedule_at(TimePs t, Callback cb) {
-  return schedule_burst_at(t, 1, std::move(cb), 0);
+  return schedule_tied_at(t, 0, std::move(cb));
 }
 
 EventId Simulator::schedule_tied_at(TimePs t, std::uint32_t tie, Callback cb) {
   if (t < now_) {
-    throw std::invalid_argument("Simulator::schedule_tied_at: time " +
+    throw std::invalid_argument("Simulator::schedule_at: time " +
                                 format_time(t) + " is before now " +
                                 format_time(now_));
   }
-  return push_event(EventEntry{t, now_, 0, 0, 0, tie}, 1, 0, std::move(cb));
+  return push_event(EventEntry{t, now_, 0, 0, tie}, 0, std::move(cb));
 }
 
 EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
@@ -26,26 +28,12 @@ EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
     throw std::invalid_argument(
         "Simulator::schedule_from: origin 0 is reserved for local events");
   }
-  return push_event(EventEntry{t, sched_time, 0, 0, 0, tie}, 1, origin,
+  return push_event(EventEntry{t, sched_time, 0, 0, tie}, origin,
                     std::move(cb));
 }
 
-EventId Simulator::schedule_burst_at(TimePs t, std::uint32_t count,
-                                     Callback cb, std::uint32_t merge_key) {
-  if (t < now_) {
-    throw std::invalid_argument("Simulator::schedule_at: time " +
-                                format_time(t) + " is before now " +
-                                format_time(now_));
-  }
-  if (count == 0) {
-    throw std::invalid_argument("Simulator::schedule_burst_at: count 0");
-  }
-  return push_event(EventEntry{t, now_, 0, 0, merge_key, 0}, count, 0,
-                    std::move(cb));
-}
-
-EventId Simulator::push_event(EventEntry e, std::uint32_t count,
-                              std::uint32_t origin, Callback&& cb) {
+EventId Simulator::push_event(EventEntry e, std::uint32_t origin,
+                              Callback&& cb) {
   e.seq = next_seq_++;
   if (!free_slots_.empty()) {
     e.slot = free_slots_.back();
@@ -56,7 +44,6 @@ EventId Simulator::push_event(EventEntry e, std::uint32_t count,
   }
   Slot& s = slots_[e.slot];
   s.seq = e.seq;
-  s.burst_count = count;
   s.origin = origin;
   s.cb = std::move(cb);
   queue_push(e);
@@ -97,39 +84,12 @@ bool Simulator::pop_and_run_next(TimePs limit) {
     prev_sched_ = top.sched;
     prev_tie_ = top.tie;
     prev_origin_ = origin;
-    std::uint32_t count = slots_[top.slot].burst_count;
     Callback cb = std::move(slots_[top.slot].cb);
     release_slot(top.slot);
     --live_events_;
-    if (top.burst_key != 0 && burst_budget_ > 1) {
-      // Pop-merge: coalesce the contiguous run of pending entries that
-      // share (time, merge_key), summing their logical counts into one
-      // invocation. Later callbacks in the run are interchangeable with
-      // the first by the schedule_burst_at contract and are released
-      // uninvoked. Calendar tombstones inside the run are discarded in
-      // passing; the first live entry with a different time or key ends
-      // the run.
-      while (count < burst_budget_) {
-        const EventEntry* next_ptr = queue_peek();
-        if (next_ptr == nullptr || next_ptr->time != top.time) break;
-        // Copy before popping: the peeked pointer is invalidated by pop.
-        const EventEntry nx = *next_ptr;
-        if (slots_[nx.slot].seq != nx.seq) {
-          queue_pop();
-          continue;
-        }
-        if (nx.burst_key != top.burst_key) break;
-        count += slots_[nx.slot].burst_count;
-        queue_pop();
-        release_slot(nx.slot);
-        --live_events_;
-      }
-    }
     now_ = top.time;
-    executed_ += count;
-    burst_count_ = count;
+    ++executed_;
     cb();
-    burst_count_ = 1;
     return true;
   }
   return false;

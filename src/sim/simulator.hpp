@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -18,7 +17,7 @@
 /// relied on by the regression tests, which compare whole packet traces
 /// across runs.
 ///
-/// Storage is split between an EventQueue of 40-byte POD entries
+/// Storage is split between an EventQueue of 32-byte POD entries
 /// (time, sched, tie, seq, slot) — an indexed 4-ary heap by default, a
 /// calendar queue on request (QueueKind, chosen per run) — and a slot
 /// table holding the callbacks. Callbacks are sim::Callback, which
@@ -29,14 +28,8 @@
 /// and on the heap also erases the queue entry in O(log n): the pending
 /// set holds live events only. The calendar cannot erase, so there a
 /// cancelled event leaves its POD entry behind as a tombstone that is
-/// discarded when it reaches the top.
-///
-/// Events can be BURST-GRANULAR: one queue entry may stand for `count`
-/// logical events (schedule_burst_at), and entries tagged with a merge
-/// key coalesce at pop time up to the burst budget. Both mechanisms
-/// preserve the logical event sequence — events_executed() advances by
-/// the summed count, and a budget of 1 (the default) is byte-identical
-/// to the per-event engine. See docs/performance.md.
+/// discarded when it reaches the top. One queue entry runs exactly one
+/// callback.
 
 namespace powertcp::sim {
 
@@ -120,42 +113,6 @@ class Simulator {
   /// (see docs/performance.md).
   std::uint64_t boundary_ambiguities() const { return ambiguities_; }
 
-  /// Schedules ONE queue entry that stands for `count` (>= 1) logical
-  /// events: when it fires, events_executed() advances by `count` and
-  /// burst_count() reports it inside the callback. This is how a
-  /// producer that already knows k back-to-back same-time outcomes
-  /// (an egress port draining k queued packets in one transmission
-  /// train) pays one schedule/pop cycle instead of k.
-  ///
-  /// A nonzero `merge_key` additionally marks the entry POP-MERGEABLE:
-  /// while the burst budget (set_burst_budget) exceeds 1, contiguous
-  /// pending entries with the same (time, merge_key) are coalesced at
-  /// pop time — their counts sum, and only the FIRST entry's callback
-  /// runs; the later callbacks are released uninvoked. Callers must
-  /// therefore use one key only for events whose callbacks are
-  /// interchangeable (same receiver, count-driven body). Key 0 never
-  /// merges. Keys are a cooperative namespace; pick per-object keys
-  /// (e.g. from a counter) to avoid accidental aliasing.
-  EventId schedule_burst_at(TimePs t, std::uint32_t count, Callback cb,
-                            std::uint32_t merge_key = 0);
-
-  /// Upper bound on logical events delivered per callback invocation by
-  /// pop-time merging (see schedule_burst_at). 1 — the default — turns
-  /// merging off entirely and is byte-identical to the historical
-  /// per-event engine; the randomized burst-equivalence tests pin that
-  /// any budget produces the same logical event sequence.
-  void set_burst_budget(std::uint32_t budget) {
-    if (budget == 0) {
-      throw std::invalid_argument("Simulator::set_burst_budget: budget 0");
-    }
-    burst_budget_ = budget;
-  }
-  std::uint32_t burst_budget() const { return burst_budget_; }
-
-  /// Number of logical events the currently-running callback stands
-  /// for (>= 1). Valid during callback invocation; 1 outside.
-  std::uint32_t burst_count() const { return burst_count_; }
-
   /// Cancels a pending event and releases its callback immediately; on
   /// the default heap backend its queue entry goes too (no tombstone).
   /// Cancelling an already-fired, already-cancelled, or default
@@ -211,14 +168,10 @@ class Simulator {
  private:
   struct Slot {
     std::uint64_t seq = 0;  ///< 0 = free; else seq of the event it holds
-    /// Logical events this slot's callback stands for (>= 1). Rides in
-    /// what used to be padding before the 16-byte-aligned Callback, so
-    /// the slot stays one cache line.
-    std::uint32_t burst_count = 1;
     /// Causal domain of the scheduling action: 0 for local events,
     /// 1 + source shard for cross-shard deliveries (schedule_from).
-    /// Rides in the remaining padding word — the slot is still one
-    /// cache line. Feeds the boundary ambiguity detector.
+    /// Sits in padding before the 16-byte-aligned Callback, so the slot
+    /// stays one cache line. Feeds the boundary ambiguity detector.
     std::uint32_t origin = 0;
     Callback cb;
   };
@@ -232,8 +185,7 @@ class Simulator {
 
   /// Assigns `e` its seq and a slot holding `cb`, and queues it. The
   /// callers have validated `e`'s time, causal stamp and tie token.
-  EventId push_event(EventEntry e, std::uint32_t count, std::uint32_t origin,
-                     Callback&& cb);
+  EventId push_event(EventEntry e, std::uint32_t origin, Callback&& cb);
 
   bool pop_and_run_next(TimePs limit);
 
@@ -266,8 +218,6 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t live_events_ = 0;
-  std::uint32_t burst_budget_ = 1;
-  std::uint32_t burst_count_ = 1;
   bool stopped_ = false;
 
   // Boundary ambiguity detector (see boundary_ambiguities()): key and

@@ -44,7 +44,6 @@ class RdcnTor final : public net::Node {
           int tor_index, std::int64_t buffer_bytes, double dt_alpha);
 
   void receive(net::Packet pkt, int in_port) override;
-  bool forwards() const override { return true; }
 
   /// Registers a directly attached host (id >= 0) and its down-port
   /// index.

@@ -89,11 +89,36 @@ TEST(SectionView, BadValuesAndUnknownKeysThrow) {
 [s]
 num = not-a-number
 typo_key = 1
-)");
+not_a_number = nan
+infinite = inf
+negative_infinite = -inf
+overflows = 1e400
+list_with_nan = 1, nan
+list_with_inf = 2, inf
+list_overflows = 1e400, 3
+)",
+                                     "bad.toml");
   SectionView v(cfg, cfg.find("s"));
   EXPECT_THROW(v.get_double("num", 0), ConfigError);
   EXPECT_THROW(v.get_int("num", 0), ConfigError);
   EXPECT_THROW(v.get_bool("num", false), ConfigError);
+  // strtod accepts these spellings; a config number must be finite.
+  for (const char* key :
+       {"not_a_number", "infinite", "negative_infinite", "overflows"}) {
+    try {
+      v.get_double(key, 0);
+      ADD_FAILURE() << key << " should be rejected";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("is not a valid number"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("bad.toml:"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* key : {"list_with_nan", "list_with_inf", "list_overflows"}) {
+    EXPECT_THROW(v.get_double_list(key), ConfigError) << key;
+  }
   // `typo_key` was never consumed by a getter.
   try {
     SectionView w(cfg, cfg.find("s"));

@@ -717,6 +717,24 @@ TEST(Runner, AqmSectionParsesAndRejectsBadValues) {
   EXPECT_THROW(load("[aqm]\nkindd = pie\n"), ConfigError);  // unknown key
 }
 
+TEST(Runner, NonFiniteAqmValueFailsAtLoad) {
+  // NaN passes every `<= 0` range check, so it must be stopped where
+  // the number is parsed — before it reaches PiDelayController at run
+  // time.
+  try {
+    load_runner_config(ConfigFile::parse(
+        "[experiment]\nkind = dumbbell\nschemes = dctcp\n"
+        "[workload]\nhorizon_ms = 1\n[aqm]\nkind = pie\ntarget_us = nan\n",
+        "nan.toml"));
+    FAIL() << "target_us = nan should fail at load";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("nan.toml:8"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("target_us"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Runner, FluidPhaseConfigMirrorsTheFig3Bench) {
   const auto file = ConfigFile::parse(R"(
 [experiment]

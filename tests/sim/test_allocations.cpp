@@ -122,32 +122,6 @@ TEST(Allocations, InlineCallbackNeverAllocates) {
   EXPECT_EQ(allocations() - before, 0u);
 }
 
-TEST(Allocations, BurstEventsAreAllocationFree) {
-  // The burst engine's pledge: scheduling a counted burst entry,
-  // pop-merging a same-key train under a large budget, and releasing
-  // the merged-away slots all recycle storage — zero heap allocations
-  // per burst event once the slot table and queue are warm.
-  sim::Simulator s;
-  s.set_burst_budget(64);
-  std::uint64_t sum = 0;
-  // Warm the slot table and queue storage past the train size.
-  for (int i = 0; i < 64; ++i) s.schedule_in(i, [] {});
-  s.run();
-  const std::uint64_t before = allocations();
-  for (int round = 0; round < 1000; ++round) {
-    const sim::TimePs t = s.now() + 10;
-    for (int i = 0; i < 16; ++i) {
-      s.schedule_burst_at(t, 1, [&s, &sum] { sum += s.burst_count(); },
-                          /*merge_key=*/1);
-    }
-    s.schedule_burst_at(t + 1, 8, [&s, &sum] { sum += s.burst_count(); });
-    s.run();
-  }
-  EXPECT_EQ(sum, 1000u * (16 + 8));
-  EXPECT_EQ(allocations() - before, 0u)
-      << "burst scheduling and pop-merging must not touch the heap";
-}
-
 TEST(Allocations, SteadyStatePacketEventsAreAllocationFree) {
   // One long PowerTCP flow over the dumbbell: after warmup every
   // per-packet event chain (tx completion at two ports, propagation,

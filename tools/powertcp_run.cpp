@@ -39,10 +39,6 @@ const char* kUsage =
     "  --telemetry  arm the flight recorder even when the config has no\n"
     "               [telemetry] enabled = true (adds *_flight tables;\n"
     "               never changes the other tables' values)\n"
-    "  --sim-burst=on|off\n"
-    "               override [experiment] sim_burst: burst-granular\n"
-    "               event processing (off is byte-identical to the\n"
-    "               per-packet engine; on never changes table values)\n"
     "  --sim-threads=N\n"
     "               override [experiment] sim_threads: shard each\n"
     "               simulation point across N cores (conservative\n"
@@ -141,17 +137,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       load_opts.force_sim_threads = static_cast<int>(n);
-    } else if (take_value(arg, "--sim-burst", &value)) {
-      if (value == "on") {
-        load_opts.force_burst = 1;
-      } else if (value == "off") {
-        load_opts.force_burst = -1;
-      } else {
-        std::fprintf(stderr,
-                     "powertcp_run: bad --sim-burst value '%s' (on|off)\n",
-                     value.c_str());
-        return 2;
-      }
     } else if (std::strcmp(arg, "--schemes") == 0) {
       list_schemes();
       return 0;
