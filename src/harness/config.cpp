@@ -179,6 +179,20 @@ void SectionView::fail(const ConfigFile::Entry& e, const char* want) const {
                     "' is not a valid " + want);
 }
 
+void SectionView::reject(const std::string& key,
+                         const std::string& reason) const {
+  const ConfigFile::Entry* e =
+      section_ == nullptr ? nullptr : section_->find(key);
+  if (e != nullptr) {
+    throw ConfigError(file_.origin() + ":" + std::to_string(e->line) + ": [" +
+                      section_->name + "] " + key + " = '" + e->value + "' " +
+                      reason);
+  }
+  const int line = section_ == nullptr ? 0 : section_->line;
+  throw ConfigError(file_.origin() + ":" + std::to_string(line) + ": " + key +
+                    " " + reason);
+}
+
 std::string SectionView::get_string(const std::string& key,
                                     const std::string& fallback) {
   const auto* e = take(key);

@@ -90,6 +90,11 @@ class SectionView {
   /// Throws ConfigError on the first key read by none of the getters.
   void finish();
 
+  /// Throws a range ConfigError "origin:line: [section] key = 'value'
+  /// <reason>" at `key`'s line (the section's line if `key` is absent).
+  [[noreturn]] void reject(const std::string& key,
+                           const std::string& reason) const;
+
  private:
   const ConfigFile::Entry* take(const std::string& key);
   [[noreturn]] void fail(const ConfigFile::Entry& e, const char* want) const;

@@ -25,14 +25,19 @@ net::EcnConfig ecn_profile_for(const std::string& cc) {
   return scheme == nullptr ? net::EcnConfig{} : scheme->needs.ecn;
 }
 
-namespace {
-
 workload::FlowSizeDistribution scaled_websearch(double scale) {
   if (scale == 1.0) return workload::FlowSizeDistribution::websearch();
   auto points = workload::FlowSizeDistribution::websearch().points();
   std::int64_t prev = 0;
   for (auto& [bytes, cdf] : points) {
-    bytes = static_cast<std::int64_t>(static_cast<double>(bytes) * scale);
+    const double scaled = static_cast<double>(bytes) * scale;
+    // Range-check before the cast (an unrepresentable double -> int64
+    // cast is undefined behavior); NaN fails the comparison too.
+    if (!(scaled >= 0 && scaled <= 9.0e18)) {
+      throw std::invalid_argument(
+          "scaled_websearch: size scale out of range");
+    }
+    bytes = static_cast<std::int64_t>(scaled);
     // Aggressive scales can collapse neighboring CDF points; keep the
     // support strictly increasing.
     bytes = std::max(bytes, prev + 1);
@@ -40,6 +45,8 @@ workload::FlowSizeDistribution scaled_websearch(double scale) {
   }
   return workload::FlowSizeDistribution(std::move(points), /*min_bytes=*/100);
 }
+
+namespace {
 
 std::pair<ExperimentResult, std::uint64_t> run_fat_tree_point(
     const FatTreeExperiment& cfg, int threads) {

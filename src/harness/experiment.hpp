@@ -13,6 +13,7 @@
 #include "stats/fct_recorder.hpp"
 #include "stats/percentiles.hpp"
 #include "topo/fat_tree.hpp"
+#include "workload/flow_size_dist.hpp"
 
 /// \file experiment.hpp
 /// The paper's workhorse experiment (§4.1): a fat-tree carrying the web
@@ -116,6 +117,13 @@ struct ExperimentResult {
 /// Builds the fabric, generates the workload, runs to completion of the
 /// time horizon, and collects results. Deterministic in `cfg.seed`.
 ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg);
+
+/// The websearch flow-size distribution with every size multiplied by
+/// `scale` (FatTreeExperiment::size_scale). Throws
+/// std::invalid_argument when the scaled CDF is not a valid
+/// distribution (e.g. a scale so small the sizes collapse below the
+/// 100-byte minimum).
+workload::FlowSizeDistribution scaled_websearch(double scale);
 
 /// ECN profile used when `cc` needs marking (DCQCN: RED 1000/4000
 /// bytes-per-Gbps with pmax 0.2; DCTCP: step at 700 bytes-per-Gbps).

@@ -93,22 +93,39 @@ void load_fat_tree_topology(SectionView& topo, topo::FatTreeConfig* cfg,
   cfg->dt_alpha = topo.get_double("dt_alpha", cfg->dt_alpha);
 }
 
+/// Largest duration a time key may hold, in seconds: its picosecond
+/// count must fit in TimePs with room to spare (llround of an
+/// out-of-range value is undefined, and engine code adds to horizons).
+constexpr double kMaxTimeKeySeconds = 9.0e6;  // 9e18 ps, ~104 days
+
+/// A duration or horizon in milliseconds: must be > 0 (a zero or
+/// negative horizon runs nothing, or allocates without bound) and in
+/// range.
 sim::TimePs get_ms(SectionView& v, const std::string& key,
                    sim::TimePs fallback) {
   if (!v.has(key)) {
     v.get_double(key, 0);  // mark consumed even when absent
     return fallback;
   }
-  return sim::from_seconds(v.get_double(key, 0) * 1e-3);
+  const double s = v.get_double(key, 0) * 1e-3;
+  if (!(s > 0) || s > kMaxTimeKeySeconds) {
+    v.reject(key, "must be > 0 and at most 9e9 ms");
+  }
+  return sim::from_seconds(s);
 }
 
+/// An offset or interval in microseconds: must be >= 0 and in range.
 sim::TimePs get_us(SectionView& v, const std::string& key,
                    sim::TimePs fallback) {
   if (!v.has(key)) {
     v.get_double(key, 0);
     return fallback;
   }
-  return sim::from_seconds(v.get_double(key, 0) * 1e-6);
+  const double s = v.get_double(key, 0) * 1e-6;
+  if (s < 0 || s > kMaxTimeKeySeconds) {
+    v.reject(key, "must be >= 0 and at most 9e12 us");
+  }
+  return sim::from_seconds(s);
 }
 
 /// A `key = v1, v2` list of small positive integers (overcommit
@@ -156,9 +173,21 @@ std::unique_ptr<ScenarioConfig> load_fat_tree_kind(const ConfigFile& file,
     throw ConfigError(file.origin() +
                       ": [workload] point lists must be non-empty");
   }
+  for (const double load : sc->loads) {
+    // A zero or negative load generates no flows and prints an empty
+    // table that reads as 100% done.
+    if (load <= 0) work.reject("loads", "entries must be > 0");
+  }
   sc->fat_tree.duration = get_ms(work, "duration_ms", sc->fat_tree.duration);
   sc->fat_tree.size_scale =
       work.get_double("size_scale", sc->fat_tree.size_scale);
+  try {
+    scaled_websearch(sc->fat_tree.size_scale);  // throws on scale <= 0 too
+  } catch (const std::invalid_argument&) {
+    work.reject("size_scale",
+                "must be > 0 and keep every scaled websearch size "
+                ">= 100 B and in range");
+  }
   sc->fat_tree.expected_flows = static_cast<int>(
       work.get_int("expected_flows", sc->fat_tree.expected_flows));
   sc->fat_tree.incast = work.get_bool("incast", sc->fat_tree.incast);
@@ -169,8 +198,19 @@ std::unique_ptr<ScenarioConfig> load_fat_tree_kind(const ConfigFile& file,
           "incast_request_kb",
           static_cast<double>(sc->fat_tree.incast_request_bytes) / 1e3) *
       1e3);
-  sc->fat_tree.incast_fan_in = static_cast<int>(
-      work.get_int("incast_fan_in", sc->fat_tree.incast_fan_in));
+  const std::int64_t fan_in =
+      work.get_int("incast_fan_in", sc->fat_tree.incast_fan_in);
+  if (sc->fat_tree.incast) {
+    // The query is split across the fan-in (a zero fan-in divides by
+    // zero) at a Poisson rate (a zero rate never arrives).
+    if (fan_in < 1 || fan_in > std::numeric_limits<int>::max()) {
+      work.reject("incast_fan_in", "must be >= 1 when incast is on");
+    }
+    if (sc->fat_tree.incast_requests_per_sec <= 0) {
+      work.reject("incast_requests_per_sec", "must be > 0 when incast is on");
+    }
+  }
+  sc->fat_tree.incast_fan_in = static_cast<int>(fan_in);
   return sc;
 }
 

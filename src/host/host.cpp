@@ -38,13 +38,16 @@ void Host::send_packet(net::Packet pkt) {
   // Acks echo the acked data packet's sent_time (the RTT measurement);
   // only fresh transmissions get stamped here.
   if (pkt.type != net::PacketType::kAck) pkt.sent_time = sim_.now();
-  nic().enqueue(std::move(pkt));
+  nic().enqueue(pool().put(pkt));
 }
 
-void Host::receive(net::Packet pkt, int /*in_port*/) {
+void Host::receive(net::PacketPool::Handle h, int /*in_port*/) {
+  // Pool storage never relocates, so `pkt` stays valid while the
+  // handlers park replies (acks, grants) in the same pool.
+  net::Packet& pkt = pool().get(h);
   switch (pkt.type) {
     case net::PacketType::kData:
-      handle_data(std::move(pkt));
+      handle_data(pkt);
       break;
     case net::PacketType::kAck:
       handle_ack(pkt);
@@ -58,9 +61,10 @@ void Host::receive(net::Packet pkt, int /*in_port*/) {
       homa_->on_packet(pkt);
       break;
   }
+  pool().release(h);
 }
 
-void Host::handle_data(net::Packet pkt) {
+void Host::handle_data(net::Packet& pkt) {
   auto it = receivers_.find(pkt.flow);
   if (it == receivers_.end()) {
     // Data packets echo the sender's cumulative received-ack edge in

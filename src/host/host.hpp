@@ -34,7 +34,9 @@ class Host final : public net::Node {
   net::EgressPort& nic();
   sim::Bandwidth nic_bandwidth() const;
 
-  void receive(net::Packet pkt, int in_port) override;
+  /// Reads the packet in place and releases its handle: the host is
+  /// where a packet's trip through the pool ends.
+  void receive(net::PacketPool::Handle h, int in_port) override;
 
   /// Creates a sender flow; transmission begins at `start_time`.
   FlowSender& start_flow(net::FlowId flow, net::NodeId dst,
@@ -68,7 +70,9 @@ class Host final : public net::Node {
   std::size_t active_senders() const { return senders_.size(); }
   std::size_t active_receivers() const { return receivers_.size(); }
 
-  /// Enqueues a packet on the NIC, stamping src/sent_time.
+  /// Parks a packet in this host's pool — the one copy on its way
+  /// through the network — and enqueues it on the NIC, stamping
+  /// src/sent_time.
   void send_packet(net::Packet pkt);
 
   /// Receiver-side ack aggregation window. 0 (the default) acks every
@@ -111,7 +115,7 @@ class Host final : public net::Node {
     net::Packet agg_pkt;
   };
 
-  void handle_data(net::Packet pkt);
+  void handle_data(net::Packet& pkt);
   void handle_ack(const net::Packet& pkt);
   void retire_receiver(net::FlowId flow);
   void flush_ack(net::FlowId flow);

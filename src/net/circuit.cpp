@@ -1,6 +1,7 @@
 #include "net/circuit.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace powertcp::net {
 
@@ -139,16 +140,20 @@ void CircuitSwitchNode::attach_tor(int tor_index, Node* tor, int tor_in_port,
       TorLink{tor, tor_in_port, out_propagation};
 }
 
-void CircuitSwitchNode::receive(Packet pkt, int /*in_port*/) {
-  const int dst_tor = tor_of_dst_(pkt.dst);
+void CircuitSwitchNode::receive(PacketPool::Handle h, int /*in_port*/) {
+  const int dst_tor = tor_of_dst_(pool().get(h).dst);
   const TorLink& link = tors_.at(static_cast<std::size_t>(dst_tor));
   if (link.tor == nullptr) {
     throw std::logic_error("CircuitSwitchNode: destination ToR not attached");
   }
-  const PacketPool::Handle h = pool().put(pkt);
+  if (&link.tor->pool() != &pool()) {
+    throw std::logic_error(
+        "CircuitSwitchNode: ToR '" + link.tor->name() +
+        "' parks in another packet pool (only a ShardChannel crosses pools)");
+  }
   sim_.schedule_in(link.propagation, [this, dst_tor, h] {
     const TorLink& out = tors_[static_cast<std::size_t>(dst_tor)];
-    out.tor->receive(pool().take(h), out.in_port);
+    out.tor->receive(h, out.in_port);
   });
 }
 

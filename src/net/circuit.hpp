@@ -122,7 +122,9 @@ class CircuitSwitchNode final : public Node {
   void attach_tor(int tor_index, Node* tor, int tor_in_port,
                   sim::TimePs out_propagation);
 
-  void receive(Packet pkt, int in_port) override;
+  /// Reschedules the same handle to the destination ToR after the
+  /// output propagation delay.
+  void receive(PacketPool::Handle h, int in_port) override;
 
  private:
   struct TorLink {

@@ -30,15 +30,16 @@ void EgressPort::use_pool(PacketPool* pool) {
   pool_ = pool;
 }
 
-bool EgressPort::enqueue(const Packet& pkt) {
+bool EgressPort::enqueue(PacketPool::Handle h) {
+  Packet& pkt = pool_->get(h);
   const std::int64_t sz = pkt.wire_bytes();
   if (shared_buffer_ != nullptr &&
       !shared_buffer_->admits(queue_bytes(), sz)) {
     ++drops_;
+    pool_->release(h);
     sample_queue();
     return false;
   }
-  bool mark = false;
   if (aqm_ != nullptr) {
     // The verdict reads only the pre-enqueue backlog (and the policy's
     // own RNG/controller state), so consulting it before charging the
@@ -48,20 +49,18 @@ bool EgressPort::enqueue(const Packet& pkt) {
         aqm_->on_enqueue(queue_bytes(), pkt.ecn_capable, sim_.now());
     if (v.drop) {
       ++drops_;
+      pool_->release(h);
       sample_queue();
       return false;
     }
     if (v.mark) {
-      mark = true;
+      pkt.ecn_marked = true;
       ++ecn_marks_;
     }
   }
   if (shared_buffer_ != nullptr) shared_buffer_->on_enqueue(sz);
-  const PacketPool::Handle h = pool_->put(pkt);
-  Packet& parked = pool_->get(h);
-  if (mark) parked.ecn_marked = true;
-  parked.enqueue_time = sim_.now();
-  push_to_queue(h, parked);
+  pkt.enqueue_time = sim_.now();
+  push_to_queue(h, pkt);
   sample_queue();
   kick();
   return true;
@@ -138,13 +137,18 @@ void EgressPort::finish_tx(PacketPool::Handle h) {
   const std::int64_t wire = pool_->get(h).wire_bytes();
   if (shared_buffer_ != nullptr) shared_buffer_->on_dequeue(wire);
   if (tx_monitor_ != nullptr) tx_monitor_->add_bytes(sim_.now(), wire);
-  // The packet leaves the pool when it arrives; without a peer it is
-  // dropped now.
+  // The peer redeems the handle; without a peer the packet is dropped
+  // now.
   if (peer_ == nullptr) {
     pool_->release(h);
   } else {
+    if (&peer_->pool() != pool_) {
+      throw std::logic_error(
+          "EgressPort: local delivery to node '" + peer_->name() +
+          "' on another packet pool (only a ShardChannel crosses pools)");
+    }
     sim_.schedule_tied_at(sim_.now() + propagation_, tie_token_, [this, h] {
-      peer_->receive(pool_->take(h), peer_in_port_);
+      peer_->receive(h, peer_in_port_);
     });
   }
   kick();

@@ -21,12 +21,13 @@
 /// marking by default) at enqueue, and enforce the switch's
 /// shared-buffer admission (Dynamic Thresholds).
 ///
-/// A packet is parked ONCE per hop: enqueue copies it into the node's
-/// PacketPool, the queue discipline holds its handle, INT is stamped
-/// into the parked packet in place, and the same handle rides the
-/// finish and delivery events until the packet leaves the pool into the
-/// peer's Node::receive (or, across a shard cut, into the channel at
-/// start_tx).
+/// A port admits packets by handle: the packet is already parked in its
+/// node's PacketPool (the engine shard's, see node.hpp), the queue
+/// discipline holds the handle, INT is stamped into the parked packet
+/// in place, and the same handle rides the finish and delivery events
+/// into the peer's Node::receive — no copy at any switch hop. A drop
+/// releases the handle. Across a shard cut the packet leaves the pool
+/// into the channel at start_tx.
 
 namespace powertcp::net {
 
@@ -77,15 +78,19 @@ class EgressPort {
   void set_int_enabled(bool on) { int_enabled_ = on; }
   void set_shared_buffer(DtSharedBuffer* buf) { shared_buffer_ = buf; }
 
-  /// Admits (or drops) a packet — parking a copy in the node's pool —
-  /// and starts the transmitter if idle. Returns false iff the packet
-  /// was dropped by buffer admission or the AQM.
-  bool enqueue(const Packet& pkt);
+  /// Admits (or drops) the packet parked in this port's pool under
+  /// `h` and starts the transmitter if idle. Returns false iff the
+  /// packet was dropped by buffer admission or the AQM; a drop releases
+  /// the handle.
+  bool enqueue(PacketPool::Handle h);
+  /// Parks `pkt` in this port's pool and admits it.
+  bool enqueue(const Packet& pkt) { return enqueue(pool_->put(pkt)); }
 
   /// Parks this port's packets in `pool` (its node's, installed by
-  /// Node::attach_port) instead of the port's own. Ports of one node
-  /// must share it: an RDCN ToR's circuit port and packet uplink drain
-  /// one VoqSet of handles. Throws if packets are already parked.
+  /// Node::attach_port and Node::bind_pool) instead of the port's own.
+  /// Ports of one node must share it: an RDCN ToR's circuit port and
+  /// packet uplink drain one VoqSet of handles. Throws if packets are
+  /// already parked.
   void use_pool(PacketPool* pool);
 
   sim::Bandwidth bandwidth() const { return bandwidth_; }

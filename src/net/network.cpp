@@ -15,6 +15,7 @@ Node* Network::adopt(std::unique_ptr<Node> node) {
   if (node->id() != next_node_id()) {
     throw std::invalid_argument("Network::adopt: node id mismatch");
   }
+  node->bind_pool(&pool(shard_of(node->id())));
   nodes_.push_back(std::move(node));
   return nodes_.back().get();
 }

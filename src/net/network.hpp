@@ -22,12 +22,19 @@
 /// cross-shard ShardChannels on links whose endpoints sit on different
 /// shards. Topology builders stay unchanged — they call add_node /
 /// connect exactly as before.
+///
+/// The Network owns one PacketPool per engine shard (one in sequential
+/// mode) and binds every node to its shard's pool, so a packet keeps
+/// one handle from its sending host to its destination host and the
+/// pool grows to the shard's high-water mark of packets in flight, not
+/// to the sum of every node's.
 
 namespace powertcp::net {
 
 class Network {
  public:
-  explicit Network(sim::Simulator& simulator) : sim_(simulator) {}
+  explicit Network(sim::Simulator& simulator)
+      : sim_(simulator), pools_(1) {}
 
   /// Partitioned mode: node i (by construction order) lives on shard
   /// `node_shard[i]` of `engine`. The map must cover every node the
@@ -36,7 +43,8 @@ class Network {
   Network(sim::ShardedSimulator& engine, std::vector<int> node_shard)
       : sim_(engine.shard(0)),
         engine_(&engine),
-        node_shard_(std::move(node_shard)) {
+        node_shard_(std::move(node_shard)),
+        pools_(static_cast<std::size_t>(engine.shard_count())) {
     if (engine.shard_count() > 1) {
       router_ = std::make_unique<ShardRouter>(engine);
     }
@@ -53,21 +61,30 @@ class Network {
     return engine_ != nullptr ? engine_->shard(shard_of(id)) : sim_;
   }
 
+  /// The packet pool shared by every node of `shard` (0 in sequential
+  /// mode).
+  PacketPool& pool(int shard) {
+    return pools_.at(static_cast<std::size_t>(shard)).pool;
+  }
+  int pool_count() const { return static_cast<int>(pools_.size()); }
+
   /// Constructs a node in place; the NodeId is injected as the first
   /// constructor argument after the simulator (the owning shard's in
-  /// partitioned mode).
+  /// partitioned mode). The node parks packets in its shard's pool.
   template <typename T, typename... Args>
   T* add_node(Args&&... args) {
     const NodeId id = static_cast<NodeId>(nodes_.size());
     auto owned =
         std::make_unique<T>(sim_of(id), id, std::forward<Args>(args)...);
     T* raw = owned.get();
+    raw->bind_pool(&pool(shard_of(id)));
     nodes_.push_back(std::move(owned));
     return raw;
   }
 
-  /// Takes ownership of an externally constructed node. Its id() must
-  /// equal next_node_id() at the time of the call.
+  /// Takes ownership of an externally constructed node and binds it to
+  /// its shard's pool. Its id() must equal next_node_id() at the time
+  /// of the call.
   Node* adopt(std::unique_ptr<Node> node);
   NodeId next_node_id() const { return static_cast<NodeId>(nodes_.size()); }
 
@@ -118,9 +135,17 @@ class Network {
   /// different shards (no-op otherwise).
   void link_shards(Node& a, int a_port, Node& b, int b_port);
 
+  /// One shard's pool on its own cache lines: shards' workers update
+  /// their pools concurrently.
+  struct alignas(64) ShardPool {
+    PacketPool pool;
+  };
+
   sim::Simulator& sim_;
   sim::ShardedSimulator* engine_ = nullptr;
   std::vector<int> node_shard_;
+  /// Declared before nodes_: nodes park in these and die first.
+  std::vector<ShardPool> pools_;
   std::unique_ptr<ShardRouter> router_;
   std::vector<std::unique_ptr<Node>> nodes_;
   /// (node, port) -> peer node, for route computation.

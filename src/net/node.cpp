@@ -25,9 +25,17 @@ int Node::attach_port(std::unique_ptr<EgressPort> port) {
   }
   port->set_tie_token((static_cast<std::uint32_t>(id_) << 9) |
                       static_cast<std::uint32_t>(index + 1));
-  port->use_pool(&pool_);
+  port->use_pool(pool_);
   ports_.push_back(std::move(port));
   return index;
+}
+
+void Node::bind_pool(PacketPool* pool) {
+  if (pool_->live() != 0) {
+    throw std::logic_error("Node::bind_pool: packets already parked");
+  }
+  pool_ = pool;
+  for (auto& port : ports_) port->use_pool(pool);
 }
 
 }  // namespace powertcp::net

@@ -11,23 +11,26 @@
 /// Generation-checked parking lot for in-flight Packets.
 ///
 /// A Packet is 360 bytes (264 of them the 8-hop INT stack), so every
-/// copy on the per-hop path costs. Each net::Node owns one pool, shared
-/// by its egress ports: EgressPort::enqueue parks an arriving packet
-/// once, the queue disciplines hold 8-byte handles, start_tx stamps INT
-/// into the parked packet in place, and the same handle rides the
-/// finish and delivery events until the packet leaves the pool — once —
-/// into the peer's Node::receive. Event closures capture the handle, not
-/// the packet. Generations catch use-after-take and double-take at the
-/// call site instead of silently reading recycled storage.
+/// copy on the per-hop path costs. Each engine shard has one pool,
+/// owned by net::Network and shared by every node on the shard (a node
+/// outside a Network keeps its own, as does an unattached EgressPort).
+/// A host parks a packet once, when it sends it; the queue disciplines
+/// hold 8-byte handles, start_tx stamps INT into the parked packet in
+/// place, and the same handle crosses every switch hop — Node::receive
+/// takes a handle — until the destination host reads the packet in
+/// place and releases it. Event closures capture the handle, not the
+/// packet. Only a cross-shard ShardChannel moves a packet from one pool
+/// into another. Generations catch use-after-release and double-release
+/// at the call site instead of silently reading recycled storage.
 ///
 /// Storage grows in fixed-size chunks and never relocates, so a Packet&
 /// obtained from get() stays valid across later put()s (only its own
 /// take()/release() ends it), and growth never copies the parked
 /// packets or briefly doubles the footprint the way a doubling vector
-/// would. It grows to the high-water mark of simultaneously parked
-/// packets and is recycled thereafter (LIFO, so a put lands on the
-/// cache lines the previous take just touched) — the steady-state path
-/// allocates nothing.
+/// would. It grows to the high-water mark of packets simultaneously in
+/// flight on its shard and is recycled thereafter (LIFO, so a put lands
+/// on the cache lines the previous release just touched) — the
+/// steady-state path allocates nothing.
 
 namespace powertcp::net {
 

@@ -52,16 +52,17 @@ void ShardRouter::ingest(int shard) {
               return a.src_seq < b.src_seq;
             });
   sim::Simulator& sim = engine_.shard(shard);
-  PacketPool* pool = &in.pool;
   for (ShardMessage& m : in.scratch) {
-    const PacketPool::Handle h = pool->put(std::move(m.pkt));
+    // Park straight into the destination shard's pool (the one every
+    // node on this shard shares): from here the packet travels by
+    // handle like any local delivery.
     Node* dst = m.dst;
+    const PacketPool::Handle h = dst->pool().put(m.pkt);
     const int port = m.dst_in_port;
     const auto origin = static_cast<std::uint32_t>(1 + m.src_shard);
     sim.schedule_from(
-        m.sent_at, m.deliver_at,
-        [dst, port, pool, h] { dst->receive(pool->take(h), port); }, origin,
-        m.tie);
+        m.sent_at, m.deliver_at, [dst, port, h] { dst->receive(h, port); },
+        origin, m.tie);
   }
   in.scratch.clear();
 }

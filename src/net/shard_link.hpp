@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "net/packet_pool.hpp"
 #include "sim/shard.hpp"
 
 /// \file shard_link.hpp
@@ -18,9 +17,10 @@
 /// — a single-producer/single-consumer ring — stamped with the absolute
 /// delivery time. At the next window barrier the destination shard's
 /// ingest hook (ShardRouter) drains every inbound channel and schedules
-/// the deliveries into its own Simulator, parking packets in a
-/// per-shard PacketPool so the event callback carries a handle, not
-/// ~350 bytes of packet.
+/// the deliveries into its own Simulator, parking each packet in the
+/// destination shard's PacketPool (the one its nodes share, see
+/// node.hpp) so the event callback carries a handle, not ~360 bytes of
+/// packet. A channel is the only path on which a packet changes pools.
 ///
 /// Determinism: channels are drained in their REGISTRATION order (the
 /// network's construction order — a pure function of the topology),
@@ -129,8 +129,9 @@ class SpscRing {
 };
 
 /// The producer-side endpoint of one cross-shard directed link: knows
-/// the destination node/port and owns the ring. EgressPort::finish_tx
-/// calls send() instead of scheduling the delivery locally.
+/// the destination node/port and owns the ring. EgressPort::start_tx
+/// takes the packet out of the source shard's pool and calls send()
+/// instead of scheduling the delivery locally.
 class ShardChannel {
  public:
   /// `send_stamp` is the router-owned per-source-shard send counter;
@@ -186,8 +187,6 @@ class ShardRouter {
   struct Ingress {
     /// Registration order = deterministic merge rank.
     std::vector<std::unique_ptr<ShardChannel>> channels;
-    /// Parks packets between ingest and delivery callback.
-    PacketPool pool;
     /// Reused drain buffer (allocation-free once warm).
     std::vector<ShardMessage> scratch;
   };

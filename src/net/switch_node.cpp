@@ -99,14 +99,15 @@ std::size_t Switch::ecmp_index(FlowId flow, std::size_t n) const {
          n;
 }
 
-void Switch::receive(Packet pkt, int /*in_port*/) {
+void Switch::receive(PacketPool::Handle h, int /*in_port*/) {
+  const Packet& pkt = pool().get(h);
   const auto* choices = routes_to(pkt.dst);
   if (choices == nullptr) {
     throw std::logic_error("Switch '" + name() + "': no route to node " +
                            std::to_string(pkt.dst));
   }
   const std::size_t pick = ecmp_index(pkt.flow, choices->size());
-  port((*choices)[pick]).enqueue(pkt);
+  port((*choices)[pick]).enqueue(h);
 }
 
 std::uint64_t Switch::total_drops() const {

@@ -52,7 +52,8 @@ class Switch : public Node {
   /// The next-hop port set toward `dst`, or nullptr if none is known.
   const std::vector<int>* routes_to(NodeId dst) const;
 
-  void receive(Packet pkt, int in_port) override;
+  /// Forwards the handle to the ECMP-chosen egress port.
+  void receive(PacketPool::Handle h, int in_port) override;
 
   DtSharedBuffer& shared_buffer() { return buffer_; }
   const SwitchConfig& config() const { return cfg_; }

@@ -24,9 +24,11 @@ class Callback {
   /// Inline closure capacity. Sized for the engine's real customers —
   /// a captured `std::function` copy (32 bytes on libstdc++) or a
   /// handful of references/ids, never a whole Packet — and so that a
-  /// Simulator event slot (8-byte seq + Callback) fills exactly one
-  /// 64-byte cache line.
-  static constexpr std::size_t kCapacity = 48;
+  /// Callback (capacity + ops pointer) is 48 bytes and a Simulator
+  /// event slot (8-byte seq, 4-byte origin, padding, Callback) fills
+  /// exactly one 64-byte cache line (a static_assert in simulator.hpp
+  /// pins it).
+  static constexpr std::size_t kCapacity = 40;
   static constexpr std::size_t kAlign = alignof(std::max_align_t);
 
   Callback() = default;

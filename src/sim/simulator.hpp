@@ -175,6 +175,8 @@ class Simulator {
     std::uint32_t origin = 0;
     Callback cb;
   };
+  static_assert(sizeof(Slot) == 64,
+                "an event slot is one 64-byte cache line (Callback::kCapacity)");
 
   void release_slot(std::uint32_t idx) {
     Slot& s = slots_[idx];

@@ -32,10 +32,11 @@ void RdcnTor::init_voqs(int n_tors, std::function<int(net::NodeId)> classify) {
   voqs_ = std::make_unique<net::VoqSet>(n_tors, std::move(classify));
 }
 
-void RdcnTor::receive(net::Packet pkt, int /*in_port*/) {
-  const auto dst = static_cast<std::size_t>(pkt.dst);
-  if (pkt.dst >= 0 && dst < local_hosts_.size() && local_hosts_[dst] >= 0) {
-    port(local_hosts_[dst]).enqueue(pkt);
+void RdcnTor::receive(net::PacketPool::Handle h, int /*in_port*/) {
+  const net::NodeId dst_id = pool().get(h).dst;
+  const auto dst = static_cast<std::size_t>(dst_id);
+  if (dst_id >= 0 && dst < local_hosts_.size() && local_hosts_[dst] >= 0) {
+    port(local_hosts_[dst]).enqueue(h);
     return;
   }
   if (circuit_port_ < 0 || uplink_port_ < 0) {
@@ -44,7 +45,7 @@ void RdcnTor::receive(net::Packet pkt, int /*in_port*/) {
   // All inter-rack traffic lands in the shared VOQ set via the circuit
   // port (the VoqSet entry point); the packet uplink drains the same
   // set, so wake it too.
-  port(circuit_port_).enqueue(pkt);
+  port(circuit_port_).enqueue(h);
   port(uplink_port_).kick();
 }
 

@@ -781,5 +781,84 @@ TEST(Runner, FluidPhaseLoaderValidatesGridAndParameters) {
                ConfigError);
 }
 
+/// Loads `text` as "range.toml" and expects a ConfigError that names
+/// `line` of that file and `key`.
+void expect_rejected_at(const std::string& text, int line,
+                        const std::string& key) {
+  try {
+    load_runner_config(ConfigFile::parse(text, "range.toml"));
+    ADD_FAILURE() << "expected a ConfigError for:\n" << text;
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("range.toml:" + std::to_string(line) + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(key), std::string::npos) << what;
+  }
+}
+
+const std::string kFatTreeHead =
+    "[experiment]\nkind = fat_tree\nschemes = powertcp\n[workload]\n";
+
+TEST(Runner, FatTreeDurationMustBePositiveAndInRange) {
+  // Used to load and print an empty table reading "done% 100.0".
+  for (const char* v : {"-1", "0", "1e300"}) {
+    expect_rejected_at(kFatTreeHead + "duration_ms = " + v + "\n", 5,
+                       "duration_ms");
+  }
+  EXPECT_NO_THROW(load_runner_config(
+      ConfigFile::parse(kFatTreeHead + "duration_ms = 0.5\n", "ok.toml")));
+}
+
+TEST(Runner, FatTreeLoadsMustBePositive) {
+  // A zero or negative load generates no flows (another empty table).
+  expect_rejected_at(kFatTreeHead + "loads = 0\n", 5, "loads");
+  expect_rejected_at(kFatTreeHead + "loads = 0.2, -0.5\n", 5, "loads");
+}
+
+TEST(Runner, FatTreeIncastNeedsFanInAndRate) {
+  // fan_in = 0 used to die with SIGFPE in generate_incast's
+  // request_bytes / fan_in.
+  expect_rejected_at(kFatTreeHead + "incast = true\nincast_fan_in = 0\n", 6,
+                     "incast_fan_in");
+  expect_rejected_at(
+      kFatTreeHead + "incast = true\nincast_requests_per_sec = 0\n", 6,
+      "incast_requests_per_sec");
+  // With the overlay off the keys are inert and load as given.
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      kFatTreeHead + "incast = false\nincast_fan_in = 0\n", "ok.toml")));
+}
+
+TEST(Runner, FatTreeSizeScaleMustYieldAValidDistribution) {
+  // These failed only at run time, inside FlowSizeDistribution, with
+  // no file:line.
+  for (const char* v : {"0", "-1", "1e-9", "1e300"}) {
+    expect_rejected_at(kFatTreeHead + "size_scale = " + v + "\n", 5,
+                       "size_scale");
+  }
+  EXPECT_NO_THROW(load_runner_config(
+      ConfigFile::parse(kFatTreeHead + "size_scale = 0.1\n", "ok.toml")));
+}
+
+TEST(Runner, IncastHorizonMustBePositive) {
+  // horizon_ms = -3 on the incast kind allocated without bound.
+  const std::string head =
+      "[experiment]\nkind = incast\nschemes = powertcp\n[workload]\n"
+      "query_kb = 0\nfan_in = 0\n";
+  expect_rejected_at(head + "horizon_ms = -3\n", 7, "horizon_ms");
+  expect_rejected_at(head + "horizon_ms = 0\n", 7, "horizon_ms");
+}
+
+TEST(Runner, MicrosecondKeysRejectNegativeAndOverflowingValues) {
+  const std::string head =
+      "[experiment]\nkind = incast\nschemes = powertcp\n[workload]\n"
+      "query_kb = 0\nfan_in = 0\n";
+  expect_rejected_at(head + "burst_at_us = -1\n", 7, "burst_at_us");
+  expect_rejected_at(head + "bin_us = 1e300\n", 7, "bin_us");
+  // Zero is a legal offset.
+  EXPECT_NO_THROW(load_runner_config(
+      ConfigFile::parse(head + "burst_at_us = 0\n", "ok.toml")));
+}
+
 }  // namespace
 }  // namespace powertcp::harness

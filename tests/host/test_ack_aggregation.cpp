@@ -23,8 +23,8 @@ class AckSink final : public net::Node {
   AckSink(sim::Simulator& simulator, net::NodeId id)
       : net::Node(id, "ack-sink"), sim_(simulator) {}
 
-  void receive(net::Packet pkt, int /*in_port*/) override {
-    acks.push_back({sim_.now(), std::move(pkt)});
+  void receive(net::PacketPool::Handle h, int /*in_port*/) override {
+    acks.push_back({sim_.now(), pool().take(h)});
   }
 
   struct Arrival {
@@ -60,9 +60,12 @@ struct AckAggFixture : ::testing::Test {
         std::make_unique<net::FifoQueue>());
     port->set_peer(&sink, 0);
     receiver.attach_port(std::move(port));
+    sink.bind_pool(&receiver.pool());  // acks reach the sink by handle
   }
 
-  void deliver(net::Packet pkt) { receiver.receive(std::move(pkt), 0); }
+  void deliver(const net::Packet& pkt) {
+    receiver.receive(receiver.pool().put(pkt), 0);
+  }
 };
 
 TEST_F(AckAggFixture, WindowZeroAcksEveryPacket) {

@@ -16,8 +16,8 @@ class SinkNode : public Node {
   SinkNode(sim::Simulator& simulator, NodeId id)
       : Node(id, "sink"), sim_(simulator) {}
 
-  void receive(Packet pkt, int in_port) override {
-    arrivals.push_back({sim_.now(), std::move(pkt), in_port});
+  void receive(PacketPool::Handle h, int in_port) override {
+    arrivals.push_back({sim_.now(), pool().take(h), in_port});
   }
 
   struct Arrival {
@@ -48,6 +48,7 @@ struct PortFixture : ::testing::Test {
     auto port = std::make_unique<BasicPort>(simulator, bw, prop,
                                             std::make_unique<FifoQueue>());
     port->set_peer(&sink, 3);
+    port->use_pool(&sink.pool());  // a local delivery stays in one pool
     return port;
   }
 };
@@ -65,8 +66,9 @@ TEST_F(PortFixture, DeliversAfterSerializationPlusPropagation) {
 
 TEST_F(PortFixture, AttachedPortsParkPacketsInTheNodePool) {
   // Every port of a node parks in the node's one pool, from enqueue
-  // until the packet leaves into the peer's receive().
+  // until the peer redeems the handle in its receive().
   SinkNode node(simulator, 1);
+  sink.bind_pool(&node.pool());
   node.attach_port(make_port(sim::Bandwidth::gbps(10), 0));
   node.attach_port(make_port(sim::Bandwidth::gbps(10), 0));
   node.port(0).enqueue(data_pkt(1, 952));
@@ -81,6 +83,18 @@ TEST_F(PortFixture, AttachedPortsParkPacketsInTheNodePool) {
   busy->enqueue(data_pkt(4, 952));
   PacketPool other;
   EXPECT_THROW(busy->use_pool(&other), std::logic_error);
+}
+
+TEST_F(PortFixture, DropReleasesTheHandle) {
+  auto port = make_port(sim::Bandwidth::mbps(1), 0);
+  DtSharedBuffer buf(1'000, 10.0);
+  port->set_shared_buffer(&buf);
+  EXPECT_TRUE(port->enqueue(sink.pool().put(data_pkt(1, 952))));
+  EXPECT_FALSE(port->enqueue(sink.pool().put(data_pkt(2, 952))));
+  EXPECT_EQ(sink.pool().live(), 1u);  // the dropped packet left the pool
+  simulator.run();
+  EXPECT_EQ(sink.arrivals.size(), 1u);
+  EXPECT_EQ(sink.pool().live(), 0u);
 }
 
 TEST_F(PortFixture, BackToBackPacketsSpacedBySerialization) {

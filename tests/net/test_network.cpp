@@ -11,9 +11,9 @@ class LeafNode final : public Node {
  public:
   LeafNode(sim::Simulator&, NodeId id, std::string name)
       : Node(id, std::move(name)) {}
-  void receive(Packet pkt, int) override {
+  void receive(PacketPool::Handle h, int) override {
     ++count;
-    last = std::move(pkt);
+    last = pool().take(h);
   }
   int count = 0;
   Packet last;
@@ -66,14 +66,14 @@ TEST_F(NetworkFixture, BfsRoutesLinearChain) {
   Packet p;
   p.dst = b->id();
   p.payload_bytes = 100;
-  s1->receive(std::move(p), 0);
+  s1->receive(s1->pool().put(p), 0);
   simulator.run();
   EXPECT_EQ(b->count, 1);
 
   Packet q;
   q.dst = a->id();
   q.payload_bytes = 100;
-  s2->receive(std::move(q), 0);
+  s2->receive(s2->pool().put(q), 0);
   simulator.run();
   EXPECT_EQ(a->count, 1);
 }

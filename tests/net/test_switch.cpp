@@ -14,9 +14,9 @@ class CounterNode final : public Node {
  public:
   CounterNode(sim::Simulator&, NodeId id, std::string name)
       : Node(id, std::move(name)) {}
-  void receive(Packet pkt, int) override {
+  void receive(PacketPool::Handle h, int) override {
     ++count;
-    last = std::move(pkt);
+    last = pool().take(h);
   }
   int count = 0;
   Packet last;
@@ -38,7 +38,7 @@ TEST_F(SwitchFixture, ForwardsAlongConfiguredRoute) {
   Packet p;
   p.flow = 1;
   p.dst = b->id();
-  sw->receive(std::move(p), 0);
+  sw->receive(sw->pool().put(p), 0);
   simulator.run();
   EXPECT_EQ(a->count, 0);
   EXPECT_EQ(b->count, 1);
@@ -48,7 +48,7 @@ TEST_F(SwitchFixture, MissingRouteThrows) {
   auto* sw = network.add_node<Switch>("sw", SwitchConfig{});
   Packet p;
   p.dst = 99;
-  EXPECT_THROW(sw->receive(std::move(p), 0), std::logic_error);
+  EXPECT_THROW(sw->receive(sw->pool().put(p), 0), std::logic_error);
 }
 
 TEST_F(SwitchFixture, EcmpIsDeterministicPerFlow) {
@@ -64,7 +64,7 @@ TEST_F(SwitchFixture, EcmpIsDeterministicPerFlow) {
     p.flow = 12345;
     p.dst = dst->id();
     p.payload_bytes = 100;
-    sw->receive(std::move(p), 0);
+    sw->receive(sw->pool().put(p), 0);
   }
   simulator.run();
   const auto tx1 = sw->port(l1.a_port).tx_packets();
@@ -88,7 +88,7 @@ TEST_F(SwitchFixture, EcmpSpreadsFlowsAcrossParallelLinks) {
     p.flow = f;
     p.dst = dst->id();
     p.payload_bytes = 100;
-    sw->receive(std::move(p), 0);
+    sw->receive(sw->pool().put(p), 0);
   }
   simulator.run();
   EXPECT_EQ(dst->count, 64);
@@ -111,7 +111,7 @@ TEST_F(SwitchFixture, SharedBufferSpansPorts) {
     p.flow = static_cast<FlowId>(i);
     p.dst = a->id();
     p.payload_bytes = 1000;
-    sw->receive(std::move(p), 0);
+    sw->receive(sw->pool().put(p), 0);
   }
   EXPECT_EQ(sw->total_drops(), 2u);
 }
@@ -135,9 +135,9 @@ TEST_F(SwitchFixture, PriorityBandsConfigurableViaConfig) {
   Packet hi = lo1;
   hi.priority = 0;
   hi.flow = 3;
-  sw->receive(std::move(lo1), 0);
-  sw->receive(std::move(lo2), 0);
-  sw->receive(std::move(hi), 0);
+  sw->receive(sw->pool().put(lo1), 0);
+  sw->receive(sw->pool().put(lo2), 0);
+  sw->receive(sw->pool().put(hi), 0);
   simulator.run();
   EXPECT_EQ(a->count, 3);
   // The high-priority packet overtook lo2 (lo1 was already in service).
@@ -184,7 +184,7 @@ TEST_F(SwitchFixture, EcnPerGbpsScalesThresholds) {
     p.flow = static_cast<FlowId>(i);
     p.dst = a->id();
     p.payload_bytes = 1000;
-    sw->receive(std::move(p), 0);
+    sw->receive(sw->pool().put(p), 0);
   }
   simulator.run();
   EXPECT_TRUE(a->last.ecn_marked);

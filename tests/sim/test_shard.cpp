@@ -433,9 +433,9 @@ std::array<Domain, 2> run_sequential_relay(std::uint64_t seed,
   ProcessT* pp = nullptr;
   std::function<void(int, Mail)> send = [&](int src, Mail m) {
     const RelayMail rm = relay_route(doms, src, m);
-    s.schedule_at(rm.relay_at, [&, rm] {
-      s.schedule_at(rm.deliver_at,
-                    [&, rm] { pp->receive(rm.dst, rm.ttl); });
+    s.schedule_at(rm.relay_at, [&, deliver_at = rm.deliver_at,
+                                 dst = rm.dst, ttl = rm.ttl] {
+      s.schedule_at(deliver_at, [&, dst, ttl] { pp->receive(dst, ttl); });
     });
   };
   ProcessT p{doms, sim_of, send};
@@ -491,10 +491,11 @@ std::array<Domain, 2> run_sharded_relay(std::uint64_t seed, TimePs horizon,
     for (const RelayMail& m : batch) {
       eng.shard(1).schedule_from(
           m.sent_at, m.relay_at,
-          [&eng, &to_domain, m] {
-            RelayMail fwd = m;
-            fwd.sent_at = eng.shard(1).now();
-            to_domain[static_cast<std::size_t>(fwd.dst)].push_back(fwd);
+          [&eng, &to_domain, relay_at = m.relay_at,
+           deliver_at = m.deliver_at, dst = m.dst, ttl = m.ttl] {
+            const RelayMail fwd{eng.shard(1).now(), relay_at, deliver_at,
+                                dst, ttl};
+            to_domain[static_cast<std::size_t>(dst)].push_back(fwd);
           },
           // Origin token of the SENDING domain's shard (0 -> 1, 2 -> 3).
           static_cast<std::uint32_t>(m.dst == 1 ? 1 : 3));
