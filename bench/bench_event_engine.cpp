@@ -160,15 +160,12 @@ std::uint64_t run_packet_sim(sim::QueueKind kind, sim::TimePs horizon) {
 /// per pod, with POD-LOCAL long flows — every host streams to the
 /// neighboring rack of its own pod, so no packet crosses the cut and
 /// the partitions stay causally independent (zero boundary
-/// ambiguities, asserted below). This is the speedup ceiling of the
-/// conservative-lookahead engine: shards only meet at window barriers.
-/// Workloads that do tie across the cut fall back to the sequential
-/// engine instead (harness::run_with_exact_fallback), so a bench row
-/// for them would measure the fallback, not the parallel engine.
+/// ambiguities, or run_until would throw). This is the speedup ceiling
+/// of the conservative-lookahead engine: shards only meet at window
+/// barriers.
 struct ShardRun {
   std::uint64_t events = 0;
   std::uint64_t windows = 0;
-  std::uint64_t ambiguities = 0;
 };
 
 ShardRun run_shard_fat_tree(int sim_threads, sim::TimePs horizon) {
@@ -191,8 +188,7 @@ ShardRun run_shard_fat_tree(int sim_threads, sim::TimePs horizon) {
                               factory(params), params, 0);
   }
   point.engine.run_until(horizon);
-  return {point.engine.events_executed(), point.engine.windows(),
-          point.engine.boundary_ambiguities()};
+  return {point.engine.events_executed(), point.engine.windows()};
 }
 
 /// std::function baseline for the churn shape, quantifying the removed
@@ -347,40 +343,15 @@ int main(int argc, char** argv) {
              "(events exact-gated across sim_threads; speedup needs cores)";
   st.slug = "event_engine_shard";
   st.key_columns = {"sim_threads"};
-  st.value_columns = {"Mev/s", "speedup", "events", "windows",
-                      "shard_fallbacks"};
+  st.value_columns = {"Mev/s", "speedup", "events", "windows"};
   double shard_base_mops = 0;
   std::uint64_t shard_base_events = 0;
   for (const int threads : {1, 2, 4}) {
-    // Through the harness's exactness policy, so the row measures what
-    // a scenario point actually gets: a fallback would rerun the point
-    // sequentially and the shard_fallbacks column (exact-gated at 0 in
-    // bench/baselines/perf.json) would expose it.
-    std::uint64_t fallbacks = 0;
     ShardRun run;
     const Measurement m = measure([&] {
-      run = harness::run_with_exact_fallback(
-          threads,
-          [&](int t) {
-            ShardRun r = run_shard_fat_tree(t, horizon);
-            return std::pair<ShardRun, std::uint64_t>{r, r.ambiguities};
-          },
-          &fallbacks);
+      run = run_shard_fat_tree(threads, horizon);
       return run.events;
     });
-    if (fallbacks != 0) {
-      std::fprintf(stderr, "FATAL: pod-local shard workload fell back to "
-                   "the sequential engine at sim_threads=%d — the cut "
-                   "leaked causality\n", threads);
-      return 1;
-    }
-    if (run.ambiguities != 0) {
-      std::fprintf(stderr, "FATAL: pod-local shard workload reported %llu "
-                   "boundary ambiguities at sim_threads=%d — the cut "
-                   "leaked causality\n",
-                   static_cast<unsigned long long>(run.ambiguities), threads);
-      return 1;
-    }
     if (threads == 1) {
       shard_base_mops = m.mops;
       shard_base_events = m.events;
@@ -397,8 +368,7 @@ int main(int argc, char** argv) {
     row.values = {Cell(m.mops, 2),
                   Cell(shard_base_mops > 0 ? m.mops / shard_base_mops : 0, 2),
                   Cell::integer(static_cast<std::int64_t>(m.events)),
-                  Cell::integer(static_cast<std::int64_t>(run.windows)),
-                  Cell::integer(static_cast<std::int64_t>(fallbacks))};
+                  Cell::integer(static_cast<std::int64_t>(run.windows))};
     st.rows.push_back(std::move(row));
   }
   reporter.add(std::move(st));

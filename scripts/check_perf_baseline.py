@@ -6,12 +6,11 @@ Usage: check_perf_baseline.py BASELINE.json CURRENT1.json [CURRENT2.json ...]
 Compares fresh bench_event_engine JSON documents against the committed
 baseline (bench/baselines/perf.json). Two classes of metric, two rules:
 
-  * deterministic columns — `events`, `windows`, `shard_fallbacks`,
-    and every `allocs/ev` column — must match the baseline EXACTLY,
-    and must agree across the repeat runs. A planted allocation on the
-    hot path, a changed event count, a drifted lookahead-window count,
-    or a shard point silently rerun sequentially is always a failure;
-    there is no noise to tolerate.
+  * deterministic columns — `events`, `windows`, and every
+    `allocs/ev` column — must match the baseline EXACTLY, and must
+    agree across the repeat runs. A planted allocation on the hot
+    path, a changed event count, or a drifted lookahead-window count
+    is always a failure; there is no noise to tolerate.
   * wall-clock columns (`Mev/s`) are gated loosely: the BEST repeat
     must stay above baseline minus a tolerance learned from the
     repeats themselves — max(MIN_DROP, NOISE_FACTOR x the relative
@@ -69,7 +68,7 @@ def is_number(v):
 
 
 def is_deterministic(metric):
-    return metric in ("events", "windows", "shard_fallbacks") or \
+    return metric in ("events", "windows") or \
         "allocs" in metric
 
 

@@ -111,12 +111,8 @@ int BenchReporter::finish() {
   if (!opts_.json_path.empty()) {
     // No run metadata beyond the bench name: the document must be
     // byte-identical for every --threads value.
-    std::string json = "{\n  \"bench\": \"" + bench_name_ + "\",\n";
-    if (have_shard_fallbacks_) {
-      json += "  \"shard_fallbacks\": " + std::to_string(shard_fallbacks_) +
-              ",\n";
-    }
-    json += "  \"tables\": [\n";
+    std::string json =
+        "{\n  \"bench\": \"" + bench_name_ + "\",\n  \"tables\": [\n";
     for (std::size_t i = 0; i < tables_.size(); ++i) {
       tables_[i].append_json(json, 4);
       json += i + 1 < tables_.size() ? ",\n" : "\n";

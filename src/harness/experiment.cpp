@@ -46,10 +46,7 @@ workload::FlowSizeDistribution scaled_websearch(double scale) {
   return workload::FlowSizeDistribution(std::move(points), /*min_bytes=*/100);
 }
 
-namespace {
-
-std::pair<ExperimentResult, std::uint64_t> run_fat_tree_point(
-    const FatTreeExperiment& cfg, int threads) {
+ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
   // The registry entry carries everything scheme-specific: the fabric
   // features to configure, the tunable parameters, and the factory (or
   // the message-transport flag) — no scheme is special-cased by name.
@@ -73,6 +70,8 @@ std::pair<ExperimentResult, std::uint64_t> run_fat_tree_point(
 
   // Partitioned engine: the fat-tree is cut per pod; one shard drives
   // the whole thing when sim_threads is 1 (or the plan falls back).
+  const int threads =
+      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled);
   ShardedPoint point(topo::fat_tree_shard_plan(cfg.topo, threads),
                      cfg.sim_queue);
   sim::Simulator& simulator = point.sim();
@@ -375,15 +374,7 @@ std::pair<ExperimentResult, std::uint64_t> run_fat_tree_point(
 
   result.drops = fabric.total_drops();
   if (tap) result.flight = tap->series();
-  return {std::move(result), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled),
-      [&](int threads) { return run_fat_tree_point(cfg, threads); });
+  return result;
 }
 
 }  // namespace powertcp::harness

@@ -63,6 +63,28 @@ SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label) {
   return run;
 }
 
+/// A line rate in Gbps: must be > 0 (a zero or negative rate makes
+/// every serialization time overflow at run time). Absent keys keep
+/// `fallback`.
+sim::Bandwidth get_gbps(SectionView& v, const std::string& key,
+                        sim::Bandwidth fallback) {
+  if (!v.has(key)) return fallback;
+  const double gbps = v.get_double(key, 0);
+  if (!(gbps > 0)) v.reject(key, "must be > 0");
+  return sim::Bandwidth::gbps(gbps);
+}
+
+/// A switch or host count. Negative counts size the shard plan's
+/// vectors from a negative number, so they fail here; zero is left to
+/// the topology's own check, which throws when the point is built.
+int get_count(SectionView& v, const std::string& key, int fallback) {
+  const std::int64_t n = v.get_int(key, fallback);
+  if (n < 0 || n > std::numeric_limits<int>::max()) {
+    v.reject(key, "must be an integer >= 1");
+  }
+  return static_cast<int>(n);
+}
+
 void load_fat_tree_topology(SectionView& topo, topo::FatTreeConfig* cfg,
                             const ConfigFile& file) {
   const std::string preset = topo.get_string("preset", "quick");
@@ -74,20 +96,14 @@ void load_fat_tree_topology(SectionView& topo, topo::FatTreeConfig* cfg,
     throw ConfigError(file.origin() + ": [topology] preset = '" + preset +
                       "' is not one of quick, paper");
   }
-  cfg->pods = static_cast<int>(topo.get_int("pods", cfg->pods));
-  cfg->tors_per_pod =
-      static_cast<int>(topo.get_int("tors_per_pod", cfg->tors_per_pod));
-  cfg->aggs_per_pod =
-      static_cast<int>(topo.get_int("aggs_per_pod", cfg->aggs_per_pod));
-  cfg->cores = static_cast<int>(topo.get_int("cores", cfg->cores));
+  cfg->pods = get_count(topo, "pods", cfg->pods);
+  cfg->tors_per_pod = get_count(topo, "tors_per_pod", cfg->tors_per_pod);
+  cfg->aggs_per_pod = get_count(topo, "aggs_per_pod", cfg->aggs_per_pod);
+  cfg->cores = get_count(topo, "cores", cfg->cores);
   cfg->servers_per_tor =
-      static_cast<int>(topo.get_int("servers_per_tor", cfg->servers_per_tor));
-  if (topo.has("host_gbps")) {
-    cfg->host_bw = sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
-  }
-  if (topo.has("fabric_gbps")) {
-    cfg->fabric_bw = sim::Bandwidth::gbps(topo.get_double("fabric_gbps", 0));
-  }
+      get_count(topo, "servers_per_tor", cfg->servers_per_tor);
+  cfg->host_bw = get_gbps(topo, "host_gbps", cfg->host_bw);
+  cfg->fabric_bw = get_gbps(topo, "fabric_gbps", cfg->fabric_bw);
   cfg->buffer_bytes_per_gbps =
       topo.get_int("buffer_bytes_per_gbps", cfg->buffer_bytes_per_gbps);
   cfg->dt_alpha = topo.get_double("dt_alpha", cfg->dt_alpha);
@@ -126,6 +142,15 @@ sim::TimePs get_us(SectionView& v, const std::string& key,
     v.reject(key, "must be >= 0 and at most 9e12 us");
   }
   return sim::from_seconds(s);
+}
+
+/// A sampling bin in microseconds: like get_us, but must be > 0 (the
+/// horizon is divided into bins of this width).
+sim::TimePs get_bin_us(SectionView& v, const std::string& key,
+                       sim::TimePs fallback) {
+  const sim::TimePs bin = get_us(v, key, fallback);
+  if (bin <= 0) v.reject(key, "must be > 0 and at most 9e12 us");
+  return bin;
 }
 
 /// A `key = v1, v2` list of small positive integers (overcommit
@@ -259,11 +284,15 @@ std::unique_ptr<ScenarioConfig> load_incast_kind(const ConfigFile& file,
       work.get_double("long_flow_mb",
                       static_cast<double>(sc->incast.long_flow_bytes) / 1e6) *
       1e6);
-  sc->incast.long_companions = static_cast<int>(
-      work.get_int("long_companions", sc->incast.long_companions));
+  const std::int64_t companions =
+      work.get_int("long_companions", sc->incast.long_companions);
+  if (companions < 0 || companions > std::numeric_limits<int>::max()) {
+    work.reject("long_companions", "must be an integer >= 0");
+  }
+  sc->incast.long_companions = static_cast<int>(companions);
   sc->incast.burst_at = get_us(work, "burst_at_us", sc->incast.burst_at);
   sc->incast.horizon = get_ms(work, "horizon_ms", sc->incast.horizon);
-  sc->incast.bin = get_us(work, "bin_us", sc->incast.bin);
+  sc->incast.bin = get_bin_us(work, "bin_us", sc->incast.bin);
   sc->incast.expected_flows = static_cast<int>(
       work.get_int("expected_flows", sc->incast.expected_flows));
   return sc;
@@ -293,14 +322,9 @@ std::unique_ptr<ScenarioConfig> load_rdcn_kind(const ConfigFile& file,
       static_cast<int>(topo.get_int("n_tors", sc->rdcn.topo.n_tors));
   sc->rdcn.topo.servers_per_tor = static_cast<int>(
       topo.get_int("servers_per_tor", sc->rdcn.topo.servers_per_tor));
-  if (topo.has("host_gbps")) {
-    sc->rdcn.topo.host_bw =
-        sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
-  }
-  if (topo.has("circuit_gbps")) {
-    sc->rdcn.topo.circuit_bw =
-        sim::Bandwidth::gbps(topo.get_double("circuit_gbps", 0));
-  }
+  sc->rdcn.topo.host_bw = get_gbps(topo, "host_gbps", sc->rdcn.topo.host_bw);
+  sc->rdcn.topo.circuit_bw =
+      get_gbps(topo, "circuit_gbps", sc->rdcn.topo.circuit_bw);
   sc->rdcn.topo.day = get_us(topo, "day_us", sc->rdcn.topo.day);
   sc->rdcn.topo.night = get_us(topo, "night_us", sc->rdcn.topo.night);
   sc->packet_gbps = work.get_double_list("packet_gbps", sc->packet_gbps);
@@ -308,12 +332,15 @@ std::unique_ptr<ScenarioConfig> load_rdcn_kind(const ConfigFile& file,
     throw ConfigError(file.origin() +
                       ": [workload] point lists must be non-empty");
   }
+  for (const double gbps : sc->packet_gbps) {
+    if (!(gbps > 0)) work.reject("packet_gbps", "entries must be > 0");
+  }
   sc->rdcn.flow_bytes = static_cast<std::int64_t>(
       work.get_double("flow_mb",
                       static_cast<double>(sc->rdcn.flow_bytes) / 1e6) *
       1e6);
   sc->rdcn.horizon = get_ms(work, "horizon_ms", sc->rdcn.horizon);
-  sc->rdcn.bin = get_us(work, "bin_us", sc->rdcn.bin);
+  sc->rdcn.bin = get_bin_us(work, "bin_us", sc->rdcn.bin);
   sc->rdcn.expected_flows = static_cast<int>(
       work.get_int("expected_flows", sc->rdcn.expected_flows));
   return sc;
@@ -357,13 +384,9 @@ std::unique_ptr<ScenarioConfig> load_dumbbell_kind(const ConfigFile& file,
   d.telemetry = ctx.telemetry;
   d.burst = ctx.burst;
   d.topo.aqm = ctx.aqm;
-  if (topo.has("host_gbps")) {
-    d.topo.host_bw = sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
-  }
-  if (topo.has("bottleneck_gbps")) {
-    d.topo.bottleneck_bw =
-        sim::Bandwidth::gbps(topo.get_double("bottleneck_gbps", 0));
-  }
+  d.topo.host_bw = get_gbps(topo, "host_gbps", d.topo.host_bw);
+  d.topo.bottleneck_bw =
+      get_gbps(topo, "bottleneck_gbps", d.topo.bottleneck_bw);
   d.topo.link_delay = get_us(topo, "link_delay_us", d.topo.link_delay);
   d.topo.dt_alpha = topo.get_double("dt_alpha", d.topo.dt_alpha);
   if (topo.has("buffer_kb")) {
@@ -373,7 +396,7 @@ std::unique_ptr<ScenarioConfig> load_dumbbell_kind(const ConfigFile& file,
   load_flow_mb(work, &d.flow_bytes, file);
   d.stagger = get_us(work, "stagger_us", d.stagger);
   d.horizon = get_ms(work, "horizon_ms", d.horizon);
-  d.bin = get_us(work, "bin_us", d.bin);
+  d.bin = get_bin_us(work, "bin_us", d.bin);
   d.row_stride = static_cast<int>(work.get_int("row_every", d.row_stride));
   if (d.row_stride < 1) {
     throw ConfigError(file.origin() + ": [workload] row_every must be >= 1");
@@ -402,7 +425,7 @@ std::unique_ptr<ScenarioConfig> load_homa_oc_kind(const ConfigFile& file,
   h.fairness.stagger = get_us(work, "stagger_us", h.fairness.stagger);
   h.fairness.horizon =
       get_ms(work, "fairness_horizon_ms", h.fairness.horizon);
-  h.fairness.bin = get_us(work, "fairness_bin_us", h.fairness.bin);
+  h.fairness.bin = get_bin_us(work, "fairness_bin_us", h.fairness.bin);
   h.fairness.row_stride = static_cast<int>(
       work.get_int("fairness_row_every", h.fairness.row_stride));
   if (h.fairness.row_stride < 1) {
@@ -419,7 +442,7 @@ std::unique_ptr<ScenarioConfig> load_homa_oc_kind(const ConfigFile& file,
       1e3, "burst_kb", file);
   h.burst_at = get_us(work, "burst_at_us", h.burst_at);
   h.incast_horizon = get_ms(work, "incast_horizon_ms", h.incast_horizon);
-  h.incast_bin = get_us(work, "incast_bin_us", h.incast_bin);
+  h.incast_bin = get_bin_us(work, "incast_bin_us", h.incast_bin);
   return sc;
 }
 
@@ -466,13 +489,9 @@ std::unique_ptr<ScenarioConfig> load_mixed_cc_kind(const ConfigFile& file,
   m.burst = ctx.burst;
   m.seed = ctx.seed;
   m.aqm = ctx.aqm;
-  if (topo.has("host_gbps")) {
-    m.topo.host_bw = sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
-  }
-  if (topo.has("bottleneck_gbps")) {
-    m.topo.bottleneck_bw =
-        sim::Bandwidth::gbps(topo.get_double("bottleneck_gbps", 0));
-  }
+  m.topo.host_bw = get_gbps(topo, "host_gbps", m.topo.host_bw);
+  m.topo.bottleneck_bw =
+      get_gbps(topo, "bottleneck_gbps", m.topo.bottleneck_bw);
   m.topo.dt_alpha = topo.get_double("dt_alpha", m.topo.dt_alpha);
 
   // `cc_mix = dctcp:0.5+powertcp:0.5, dctcp` — each comma-separated
@@ -1171,20 +1190,7 @@ ResultTable incast_figure_table(const SweepRunner& runner,
   return incast_table(runner, cfg, schemes, slug, title, flight_out);
 }
 
-// ---- figure definitions shared by benches and configs -------------
-
-RunnerConfig fig5_runner_config() {
-  auto sc = std::make_shared<DumbbellKindConfig>();
-  sc->slug_prefix = "fig5";
-  for (const char* name : {"powertcp", "homa", "theta-powertcp", "timely"}) {
-    sc->schemes.push_back(SchemeRun{"", name, {}});
-  }
-  // DumbbellScenario defaults are exactly the Fig. 5 quick shape.
-  RunnerConfig rc;
-  rc.kind = "dumbbell";
-  rc.scenario = std::move(sc);
-  return rc;
-}
+// ---- the one figure defined in C++: bench_fig6_fct's --fast/--full ---
 
 RunnerConfig fig6_runner_config(bool fast, bool full) {
   auto sc = std::make_shared<FatTreeKindConfig>();
@@ -1207,27 +1213,6 @@ RunnerConfig fig6_runner_config(bool fast, bool full) {
   }
   RunnerConfig rc;
   rc.kind = "fat_tree";
-  rc.scenario = std::move(sc);
-  return rc;
-}
-
-RunnerConfig fig2_runner_config() {
-  auto sc = std::make_shared<SingleFlowKindConfig>();
-  sc->slug_prefix = "fig2";
-  // SingleFlowKindConfig defaults are exactly the Fig. 2 setting.
-  RunnerConfig rc;
-  rc.kind = "single_flow";
-  rc.scenario = std::move(sc);
-  return rc;
-}
-
-RunnerConfig fig9_runner_config() {
-  auto sc = std::make_shared<HomaOcKindConfig>();
-  sc->slug_prefix = "fig9";
-  sc->schemes.push_back(SchemeRun{"", "homa", {}});
-  // HomaOcScenario defaults are exactly the Figs. 9-11 quick shape.
-  RunnerConfig rc;
-  rc.kind = "homa_oc";
   rc.scenario = std::move(sc);
   return rc;
 }

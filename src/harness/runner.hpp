@@ -233,26 +233,10 @@ ResultTable incast_figure_table(const SweepRunner& runner,
                                 std::vector<ResultTable>* flight_out =
                                     nullptr);
 
-/// The Fig. 5 experiment definition — what configs/fig5_quick.toml
-/// loads, so bench_fig5_fairness and `powertcp_run
-/// configs/fig5_quick.toml` print identical tables (pinned by test).
-RunnerConfig fig5_runner_config();
-
 /// The Fig. 6 experiment definition. The default (fast = full = false)
 /// equals what configs/fig6_quick.toml loads — bench_fig6_fct and
 /// `powertcp_run configs/fig6_quick.toml` therefore print identical
 /// tables; a test pins the equivalence.
 RunnerConfig fig6_runner_config(bool fast, bool full);
-
-/// The Figs. 9-11 experiment definition — what configs/fig9_oc.toml
-/// loads, so bench_fig9_homa_oc and `powertcp_run configs/fig9_oc.toml`
-/// print identical tables (pinned by test).
-RunnerConfig fig9_runner_config();
-
-/// The Fig. 2 reaction-curve definition — what
-/// configs/fig2_reaction.toml loads, so bench_fig2_reaction and
-/// `powertcp_run configs/fig2_reaction.toml` print identical tables
-/// (pinned by test).
-RunnerConfig fig2_runner_config();
 
 }  // namespace powertcp::harness

@@ -58,12 +58,12 @@ void append_flight_tables(std::vector<ResultTable>* flight_out,
 
 }  // namespace
 
-namespace {
-
-std::pair<IncastSeries, std::uint64_t> run_incast_point(
-    const IncastScenario& cfg, const SchemeRun& scheme_run, int threads) {
+IncastSeries run_incast_scenario(const IncastScenario& cfg,
+                                 const SchemeRun& scheme_run) {
   const cc::Scheme& scheme = resolve(scheme_run);
   // Partitioned engine (per-pod cut); monitors live on pod 0 = shard 0.
+  const int threads =
+      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled);
   ShardedPoint point(topo::fat_tree_shard_plan(cfg.topo, threads),
                      cfg.sim_queue);
   sim::Simulator& simulator = point.sim();
@@ -92,6 +92,16 @@ std::pair<IncastSeries, std::uint64_t> run_incast_point(
   if (cfg.query_bytes > 0 && cfg.fan_in < 1) {
     throw std::invalid_argument(
         "IncastScenario: query_bytes > 0 needs fan_in >= 1");
+  }
+  // Companion i runs on host servers_per_tor + 1 + i, which must exist.
+  const int companion_hosts =
+      fabric.host_count() - topo_cfg.servers_per_tor - 1;
+  if (cfg.long_companions > companion_hosts) {
+    throw std::invalid_argument(
+        "IncastScenario: long_companions = " +
+        std::to_string(cfg.long_companions) + " exceeds the " +
+        std::to_string(std::max(companion_hosts, 0)) +
+        " hosts outside the receiver's rack (grow pods/tors_per_pod)");
   }
   // Paper setup: `long_companions` long flows join the long flow's
   // receiver at `burst_at`; the large-scale case additionally fans a
@@ -188,16 +198,7 @@ std::pair<IncastSeries, std::uint64_t> run_incast_point(
         1e3);
   }
   if (tap) out.flight = tap->series();
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-IncastSeries run_incast_scenario(const IncastScenario& cfg,
-                                 const SchemeRun& scheme_run) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled),
-      [&](int threads) { return run_incast_point(cfg, scheme_run, threads); });
+  return out;
 }
 
 ResultTable incast_table(const SweepRunner& runner, const IncastScenario& cfg,
@@ -234,10 +235,8 @@ ResultTable incast_table(const SweepRunner& runner, const IncastScenario& cfg,
   return t;
 }
 
-namespace {
-
-std::pair<RdcnResult, std::uint64_t> run_rdcn_point(
-    const RdcnScenario& cfg, const SchemeRun& scheme_run, int threads) {
+RdcnResult run_rdcn_scenario(const RdcnScenario& cfg,
+                             const SchemeRun& scheme_run) {
   const cc::Scheme& scheme = resolve(scheme_run);
   if (scheme.message_transport) {
     throw std::invalid_argument("scheme '" + scheme_run.scheme +
@@ -248,6 +247,8 @@ std::pair<RdcnResult, std::uint64_t> run_rdcn_point(
   // Partitioned engine: switching stays on shard 0, hosts spread by
   // rack. Monitors tap ToR 0 (shard 0); the rack-1 goodput callback
   // fires only on rack 1's shard thread (single writer).
+  const int threads =
+      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled);
   ShardedPoint point(topo::rdcn_shard_plan(cfg.topo, threads), cfg.sim_queue);
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
@@ -324,16 +325,7 @@ std::pair<RdcnResult, std::uint64_t> run_rdcn_point(
   }
   if (!sojourns_us.empty()) out.p99_sojourn_us = sojourns_us.percentile(99);
   if (tap) out.flight = tap->series();
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-RdcnResult run_rdcn_scenario(const RdcnScenario& cfg,
-                             const SchemeRun& scheme_run) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled),
-      [&](int threads) { return run_rdcn_point(cfg, scheme_run, threads); });
+  return out;
 }
 
 ResultTable rdcn_timeseries_table(const SweepRunner& runner,
@@ -380,10 +372,8 @@ ResultTable rdcn_timeseries_table(const SweepRunner& runner,
   return t;
 }
 
-namespace {
-
-std::pair<DumbbellSeries, std::uint64_t> run_dumbbell_point(
-    const DumbbellScenario& cfg, const SchemeRun& scheme_run, int threads) {
+DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
+                                     const SchemeRun& scheme_run) {
   const cc::Scheme& scheme = resolve(scheme_run);
   const int n_flows = static_cast<int>(cfg.flow_bytes.size());
   if (n_flows < 1) {
@@ -396,6 +386,8 @@ std::pair<DumbbellSeries, std::uint64_t> run_dumbbell_point(
   topo_cfg.priority_bands = scheme.needs.priority_bands;
   // Partitioned engine: senders spread across shards, switch and
   // receiver (every monitor) on shard 0.
+  const int threads =
+      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled);
   ShardedPoint point(topo::dumbbell_shard_plan(topo_cfg, threads),
                      cfg.sim_queue);
   sim::Simulator& simulator = point.sim();
@@ -473,18 +465,7 @@ std::pair<DumbbellSeries, std::uint64_t> run_dumbbell_point(
     }
   }
   if (tap) out.flight = tap->series();
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
-                                     const SchemeRun& scheme_run) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled),
-      [&](int threads) {
-        return run_dumbbell_point(cfg, scheme_run, threads);
-      });
+  return out;
 }
 
 ResultTable dumbbell_series_table(const DumbbellSeries& series,
@@ -533,14 +514,14 @@ std::vector<ResultTable> dumbbell_fairness_tables(
   return tables;
 }
 
-namespace {
-
-std::pair<HomaOcIncastResult, std::uint64_t> run_homa_oc_incast_point(
-    const HomaOcScenario& cfg, const SchemeRun& scheme_run, int fan_in,
-    int threads) {
+HomaOcIncastResult run_homa_oc_incast(const HomaOcScenario& cfg,
+                                      const SchemeRun& scheme_run,
+                                      int fan_in) {
   const cc::Scheme& scheme = resolve(scheme_run);
 
   // Partitioned engine (per-pod cut); monitors live on pod 0 = shard 0.
+  const int threads =
+      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled);
   ShardedPoint point(topo::fat_tree_shard_plan(cfg.incast_topo, threads),
                      cfg.sim_queue);
   sim::Simulator& simulator = point.sim();
@@ -603,19 +584,7 @@ std::pair<HomaOcIncastResult, std::uint64_t> run_homa_oc_incast_point(
   out.drops = fabric.total_drops();
   out.mean_goodput_gbps = goodput.mean_gbps(0, goodput.bin_count());
   if (tap) out.flight = tap->series();
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-HomaOcIncastResult run_homa_oc_incast(const HomaOcScenario& cfg,
-                                      const SchemeRun& scheme_run,
-                                      int fan_in) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled),
-      [&](int threads) {
-        return run_homa_oc_incast_point(cfg, scheme_run, fan_in, threads);
-      });
+  return out;
 }
 
 std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
@@ -733,12 +702,11 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
   return tables;
 }
 
-namespace {
-
-std::pair<MixedCcCellResult, std::uint64_t> run_mixed_cc_point(
-    const MixedCcScenario& cfg, const MixedCcMix& mix,
-    const std::string& aqm_kind, double rtt_us, std::int64_t buffer_bytes,
-    int threads) {
+MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
+                                    const MixedCcMix& mix,
+                                    const std::string& aqm_kind,
+                                    double rtt_us,
+                                    std::int64_t buffer_bytes) {
   if (mix.members.empty() || mix.members.size() != mix.weights.size()) {
     throw std::invalid_argument("mixed_cc: malformed mix '" + mix.display +
                                 "'");
@@ -787,6 +755,7 @@ std::pair<MixedCcCellResult, std::uint64_t> run_mixed_cc_point(
   // Partitioned engine: senders spread across shards; the receiver's
   // byte counters and the per-sender finish slots are each written by
   // exactly one shard thread.
+  const int threads = effective_sim_threads(cfg.sim_threads, false);
   ShardedPoint point(topo::dumbbell_shard_plan(topo_cfg, threads),
                      cfg.sim_queue);
   net::Network& network = point.network;
@@ -894,21 +863,7 @@ std::pair<MixedCcCellResult, std::uint64_t> run_mixed_cc_point(
   }
   out.done_frac =
       static_cast<double>(done_total) / static_cast<double>(cfg.senders);
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
-                                    const MixedCcMix& mix,
-                                    const std::string& aqm_kind,
-                                    double rtt_us,
-                                    std::int64_t buffer_bytes) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, false), [&](int threads) {
-        return run_mixed_cc_point(cfg, mix, aqm_kind, rtt_us, buffer_bytes,
-                                  threads);
-      });
+  return out;
 }
 
 std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace powertcp::sim {
@@ -199,6 +200,18 @@ void ShardedSimulator::run_until(TimePs horizon) {
   worker(0, horizon);
   for (auto& t : pool) t.join();
   if (error_) std::rethrow_exception(error_);
+  const std::uint64_t ambiguities = boundary_ambiguities();
+  if (ambiguities == 0) return;
+  std::size_t first = 0;
+  while (shards_[first]->boundary_ambiguities() == 0) ++first;
+  const Simulator::TieKey& key = shards_[first]->first_ambiguity();
+  throw std::logic_error(
+      "ShardedSimulator::run_until: the " + std::to_string(shards_.size()) +
+      "-shard run is not provably identical to the sequential engine: " +
+      std::to_string(ambiguities) +
+      " boundary ambiguity(ies), the first on shard " + std::to_string(first) +
+      " at (time=" + std::to_string(key.time) + "ps, sched=" +
+      std::to_string(key.sched) + "ps, tie=" + std::to_string(key.tie) + ")");
 }
 
 }  // namespace powertcp::sim

@@ -114,7 +114,10 @@ class ShardedSimulator {
   /// shard_count() > 1: worker threads are spawned per call, the caller
   /// drives shard 0, and all clocks read `horizon` afterwards. The
   /// first exception thrown by any shard's events aborts the run at the
-  /// next barrier and is rethrown here.
+  /// next barrier and is rethrown here. A multi-shard run that ends
+  /// with boundary_ambiguities() > 0 cannot prove itself identical to
+  /// the sequential engine and throws std::logic_error naming the shard
+  /// count and the first ambiguous (time, sched, tie) key.
   void run_until(TimePs horizon);
 
   /// Sum of logical events executed across all shards.
@@ -122,8 +125,8 @@ class ShardedSimulator {
 
   /// Sum of boundary ambiguities detected across all shards (see
   /// Simulator::boundary_ambiguities()). Zero certifies the sharded
-  /// run byte-identical to the sequential engine; the harness reruns a
-  /// simulation point sequentially when it comes back nonzero.
+  /// run byte-identical to the sequential engine; run_until throws
+  /// when a multi-shard run leaves it nonzero.
   std::uint64_t boundary_ambiguities() const {
     std::uint64_t total = 0;
     for (const auto& s : shards_) total += s->boundary_ambiguities();

@@ -72,12 +72,14 @@ bool Simulator::pop_and_run_next(TimePs limit) {
     // with DIFFERING tie tokens are exactly ordered by the token in
     // both engines, so they are not ambiguous — and since deliveries
     // carry unique per-port tokens, a mixed-origin same-token pair is
-    // structurally impossible; the counter stays as the safety net the
-    // harness polices.
+    // structurally impossible; the counter stays as the safety net
+    // ShardedSimulator::run_until enforces.
     const std::uint32_t origin = slots_[top.slot].origin;
     if (have_prev_ && prev_time_ == top.time && prev_sched_ == top.sched &&
         prev_tie_ == top.tie && prev_origin_ != origin) {
-      ++ambiguities_;
+      if (ambiguities_++ == 0) {
+        first_ambiguity_ = TieKey{top.time, top.sched, top.tie};
+      }
     }
     have_prev_ = true;
     prev_time_ = top.time;

@@ -105,13 +105,22 @@ class Simulator {
   /// such a pair by causal history that a partitioned run cannot
   /// reconstruct with bounded state, so a sharded run is PROVABLY
   /// byte-identical to the sequential engine iff this stays 0 on every
-  /// shard; the harness falls back to a sequential rerun otherwise.
-  /// Since every cross-shard delivery carries its port's unique
-  /// nonzero token (net::Node::attach_port) while local events carry
-  /// 0, this is now a safety net that should never fire — kept (and
-  /// still policed by the harness) as the proof obligation
+  /// shard; ShardedSimulator::run_until throws otherwise. Since every
+  /// cross-shard delivery carries its port's unique nonzero token
+  /// (net::Node::attach_port) while local events carry 0, this is a
+  /// safety net that should never fire — kept as the proof obligation
   /// (see docs/performance.md).
   std::uint64_t boundary_ambiguities() const { return ambiguities_; }
+
+  /// The event key shared by an ambiguous pair.
+  struct TieKey {
+    TimePs time = 0;
+    TimePs sched = 0;
+    std::uint32_t tie = 0;
+  };
+  /// Key of the first ambiguous pair; meaningful only while
+  /// boundary_ambiguities() > 0.
+  const TieKey& first_ambiguity() const { return first_ambiguity_; }
 
   /// Cancels a pending event and releases its callback immediately; on
   /// the default heap backend its queue entry goes too (no tombstone).
@@ -232,6 +241,7 @@ class Simulator {
   std::uint32_t prev_tie_ = 0;
   std::uint32_t prev_origin_ = 0;
   std::uint64_t ambiguities_ = 0;
+  TieKey first_ambiguity_;
 };
 
 }  // namespace powertcp::sim

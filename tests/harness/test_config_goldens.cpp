@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,7 +21,6 @@
 #include <vector>
 
 #include "harness/runner.hpp"
-#include "harness/shard_setup.hpp"
 
 #ifndef POWERTCP_SOURCE_DIR
 #define POWERTCP_SOURCE_DIR "."
@@ -57,10 +58,7 @@ Rendered render_like_cli(const std::vector<ResultTable>& tables) {
   }
   r.csv = ResultTable::csv_header();
   for (const auto& t : tables) t.append_csv(r.csv);
-  // The CLI reports shard_fallback_count() here; the goldens pin it at
-  // 0 — no shipped config may silently rerun on the sequential engine.
-  r.json = "{\n  \"bench\": \"powertcp_run\",\n  \"shard_fallbacks\": 0,\n"
-           "  \"tables\": [\n";
+  r.json = "{\n  \"bench\": \"powertcp_run\",\n  \"tables\": [\n";
   for (std::size_t i = 0; i < tables.size(); ++i) {
     tables[i].append_json(r.json, 4);
     r.json += i + 1 < tables.size() ? ",\n" : "\n";
@@ -69,21 +67,21 @@ Rendered render_like_cli(const std::vector<ResultTable>& tables) {
   return r;
 }
 
-/// run_config with the zero-fallback acceptance bar attached: the
-/// process-wide fallback counter may not move while a shipped config
-/// renders (otherwise the "shard_fallbacks": 0 the goldens pin would
-/// be a lie whenever sim_threads > 1 is forced).
-std::vector<ResultTable> run_config_no_fallback(const RunnerConfig& cfg,
-                                                const SweepRunner& runner) {
-  const std::uint64_t before =
-      shard_fallback_count().load(std::memory_order_relaxed);
-  auto tables = run_config(cfg, runner);
-  EXPECT_EQ(shard_fallback_count().load(std::memory_order_relaxed), before)
-      << "a shipped config fell back to the sequential engine";
-  return tables;
+/// Every configs/*.toml by stem, sorted, so a new config without a
+/// golden fails here instead of going unpinned.
+std::vector<std::string> shipped_configs() {
+  const std::string dir = std::string(POWERTCP_SOURCE_DIR) + "/configs";
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".toml") {
+      names.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
-class ConfigGolden : public ::testing::TestWithParam<const char*> {};
+class ConfigGolden : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ConfigGolden, MatchesPreRefactorOutputByteForByte) {
   const std::string name = GetParam();
@@ -92,7 +90,7 @@ TEST_P(ConfigGolden, MatchesPreRefactorOutputByteForByte) {
       ConfigFile::parse_file(root + "/configs/" + name + ".toml"));
   const unsigned hw = std::thread::hardware_concurrency();
   const SweepRunner runner(hw == 0 ? 1 : static_cast<int>(hw));
-  const Rendered got = render_like_cli(run_config_no_fallback(cfg, runner));
+  const Rendered got = render_like_cli(run_config(cfg, runner));
 
   EXPECT_EQ(got.text, slurp(root + "/tests/goldens/" + name + ".txt"));
   EXPECT_EQ(got.csv, slurp(root + "/tests/goldens/" + name + ".csv"));
@@ -100,19 +98,13 @@ TEST_P(ConfigGolden, MatchesPreRefactorOutputByteForByte) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllShippedConfigs, ConfigGolden,
-                         ::testing::Values("fig2_reaction", "fig4_quick",
-                                           "fig5_quick", "fig6_quick",
-                                           "fig7_load_sweep", "fig8_quick",
-                                           "fig9_oc"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
+                         ::testing::ValuesIn(shipped_configs()),
+                         [](const auto& info) { return info.param; });
 
 /// The parallel-DES exactness bar: a shipped fat-tree config rendered
 /// with the engine sharded four ways must match the sequential goldens
-/// byte for byte — via causally-independent windows where the traffic
-/// allows it, via the detect-and-fallback rerun where it does not
-/// (docs/performance.md, "Parallel DES"). Deliberately outside the
+/// byte for byte; a point that could not prove itself exact would throw
+/// instead (docs/performance.md, "Parallel DES"). Deliberately outside the
 /// tsan filter like ConfigGolden above; the thread protocol itself is
 /// TSan-covered by the lighter ShardedEngine/ShardedHarness tests.
 TEST(ShardedConfigGolden, Fig6QuickByteIdenticalAtFourSimThreads) {
@@ -124,7 +116,7 @@ TEST(ShardedConfigGolden, Fig6QuickByteIdenticalAtFourSimThreads) {
       ScenarioRegistry::instance(), options);
   const unsigned hw = std::thread::hardware_concurrency();
   const SweepRunner runner(hw == 0 ? 1 : static_cast<int>(hw));
-  const Rendered got = render_like_cli(run_config_no_fallback(cfg, runner));
+  const Rendered got = render_like_cli(run_config(cfg, runner));
 
   EXPECT_EQ(got.text, slurp(root + "/tests/goldens/fig6_quick.txt"));
   EXPECT_EQ(got.csv, slurp(root + "/tests/goldens/fig6_quick.csv"));
@@ -136,8 +128,8 @@ TEST(ShardedConfigGolden, Fig6QuickByteIdenticalAtFourSimThreads) {
 /// lands at the bottleneck in the same picosecond) and silently rerun
 /// sequentially. With deliveries keyed by (time, sched, tie) the
 /// cross-shard order is exact, so the sharded run must now render the
-/// sequential goldens byte for byte WITHOUT the fallback — which
-/// run_config_no_fallback asserts.
+/// sequential goldens byte for byte, and run_until's ambiguity check
+/// proves it did so by sharding, not by luck.
 TEST(ShardedConfigGolden, Fig5QuickByteIdenticalAtFourSimThreads) {
   const std::string root = POWERTCP_SOURCE_DIR;
   RunnerLoadOptions options;
@@ -147,7 +139,7 @@ TEST(ShardedConfigGolden, Fig5QuickByteIdenticalAtFourSimThreads) {
       ScenarioRegistry::instance(), options);
   const unsigned hw = std::thread::hardware_concurrency();
   const SweepRunner runner(hw == 0 ? 1 : static_cast<int>(hw));
-  const Rendered got = render_like_cli(run_config_no_fallback(cfg, runner));
+  const Rendered got = render_like_cli(run_config(cfg, runner));
 
   EXPECT_EQ(got.text, slurp(root + "/tests/goldens/fig5_quick.txt"));
   EXPECT_EQ(got.csv, slurp(root + "/tests/goldens/fig5_quick.csv"));

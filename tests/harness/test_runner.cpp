@@ -1,13 +1,13 @@
-/// Config-driven runner coverage: the fig5/fig6/fig9 golden
-/// equivalences (each shipped config loads exactly the experiment its
-/// figure bench runs), end-to-end thread-count byte-identity for every
-/// scenario kind, the reTCP/HOMA topology wiring through run_config,
-/// and the loader's rejection paths.
+/// Config-driven runner coverage: the fig6 config == bench_fig6_fct
+/// equivalence, fig2's paper numbers, end-to-end thread-count
+/// byte-identity for every scenario kind, the reTCP/HOMA topology
+/// wiring through run_config, and the loader's rejection paths.
 
 #include "harness/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -107,104 +107,13 @@ TEST(RunnerGolden, Fig6ConfigMatchesBench) {
   }
 }
 
-/// configs/fig5_quick.toml loads the exact scenario
-/// bench_fig5_fairness runs, and executing both yields byte-identical
-/// tables — the pre-refactor bench output is pinned by the committed
-/// bench/baselines/fig5.json gate in CI.
-TEST(RunnerGolden, Fig5ConfigMatchesBench) {
-  const RunnerConfig from_config = load_shipped_config("fig5_quick.toml");
-  const RunnerConfig from_bench = fig5_runner_config();
-  EXPECT_EQ(from_config.kind, "dumbbell");
-  EXPECT_EQ(from_config.kind, from_bench.kind);
-  const DumbbellKindConfig& a = as_kind<DumbbellKindConfig>(from_config);
-  const DumbbellKindConfig& b = as_kind<DumbbellKindConfig>(from_bench);
-  EXPECT_EQ(a.slug_prefix, b.slug_prefix);
-  expect_same_schemes(a.schemes, b.schemes);
-  EXPECT_EQ(a.dumbbell.flow_bytes, b.dumbbell.flow_bytes);
-  EXPECT_EQ(a.dumbbell.stagger, b.dumbbell.stagger);
-  EXPECT_EQ(a.dumbbell.horizon, b.dumbbell.horizon);
-  EXPECT_EQ(a.dumbbell.bin, b.dumbbell.bin);
-  EXPECT_EQ(a.dumbbell.row_stride, b.dumbbell.row_stride);
-  EXPECT_DOUBLE_EQ(a.dumbbell.topo.host_bw.bps(),
-                   b.dumbbell.topo.host_bw.bps());
-  EXPECT_DOUBLE_EQ(a.dumbbell.topo.bottleneck_bw.bps(),
-                   b.dumbbell.topo.bottleneck_bw.bps());
-
-  const SweepRunner runner(2);
-  EXPECT_EQ(render_all(run_config(from_config, runner)),
-            render_all(run_config(from_bench, runner)));
-}
-
-/// configs/fig9_oc.toml loads the exact scenario bench_fig9_homa_oc
-/// runs; a reduced-scale copy of both executes byte-identically (the
-/// full-scale equivalence follows because run() is a pure function of
-/// the compared fields).
-TEST(RunnerGolden, Fig9ConfigMatchesBench) {
-  const RunnerConfig from_config = load_shipped_config("fig9_oc.toml");
-  const RunnerConfig from_bench = fig9_runner_config();
-  EXPECT_EQ(from_config.kind, "homa_oc");
-  EXPECT_EQ(from_config.kind, from_bench.kind);
-  const HomaOcKindConfig& a = as_kind<HomaOcKindConfig>(from_config);
-  const HomaOcKindConfig& b = as_kind<HomaOcKindConfig>(from_bench);
-  EXPECT_EQ(a.slug_prefix, b.slug_prefix);
-  expect_same_schemes(a.schemes, b.schemes);
-  EXPECT_EQ(a.homa_oc.overcommit, b.homa_oc.overcommit);
-  EXPECT_EQ(a.homa_oc.fan_in, b.homa_oc.fan_in);
-  EXPECT_EQ(a.homa_oc.fairness.flow_bytes, b.homa_oc.fairness.flow_bytes);
-  EXPECT_EQ(a.homa_oc.fairness.stagger, b.homa_oc.fairness.stagger);
-  EXPECT_EQ(a.homa_oc.fairness.horizon, b.homa_oc.fairness.horizon);
-  EXPECT_EQ(a.homa_oc.fairness.bin, b.homa_oc.fairness.bin);
-  EXPECT_EQ(a.homa_oc.fairness.row_stride, b.homa_oc.fairness.row_stride);
-  EXPECT_EQ(a.homa_oc.long_message_bytes, b.homa_oc.long_message_bytes);
-  EXPECT_EQ(a.homa_oc.burst_message_bytes, b.homa_oc.burst_message_bytes);
-  EXPECT_EQ(a.homa_oc.burst_at, b.homa_oc.burst_at);
-  EXPECT_EQ(a.homa_oc.incast_horizon, b.homa_oc.incast_horizon);
-  EXPECT_EQ(a.homa_oc.incast_bin, b.homa_oc.incast_bin);
-  EXPECT_EQ(a.homa_oc.incast_topo.servers_per_tor,
-            b.homa_oc.incast_topo.servers_per_tor);
-
-  const auto reduced = [](const HomaOcKindConfig& src) {
-    auto copy = std::make_shared<HomaOcKindConfig>(src);
-    copy->homa_oc.overcommit = {1, 2};
-    copy->homa_oc.fan_in = {4};
-    copy->homa_oc.fairness.horizon = sim::milliseconds(1);
-    copy->homa_oc.incast_horizon = sim::microseconds(600);
-    RunnerConfig rc;
-    rc.kind = "homa_oc";
-    rc.scenario = std::move(copy);
-    return rc;
-  };
-  const SweepRunner runner(2);
-  EXPECT_EQ(render_all(run_config(reduced(a), runner)),
-            render_all(run_config(reduced(b), runner)));
-}
-
-/// configs/fig2_reaction.toml loads the exact analytic curves
-/// bench_fig2_reaction prints; both are cheap closed forms, so the
-/// golden equivalence executes BOTH at full scale and compares every
-/// byte. The paper's printed disambiguation numbers (voltage
-/// 3.24/2.12/2.12, current 9/1/9) are pinned alongside.
-TEST(RunnerGolden, Fig2ConfigMatchesBench) {
-  const RunnerConfig from_config = load_shipped_config("fig2_reaction.toml");
-  const RunnerConfig from_bench = fig2_runner_config();
-  EXPECT_EQ(from_config.kind, "single_flow");
-  EXPECT_EQ(from_config.kind, from_bench.kind);
-  const SingleFlowKindConfig& a = as_kind<SingleFlowKindConfig>(from_config);
-  const SingleFlowKindConfig& b = as_kind<SingleFlowKindConfig>(from_bench);
-  EXPECT_EQ(a.slug_prefix, b.slug_prefix);
-  EXPECT_DOUBLE_EQ(a.bandwidth_gbps, b.bandwidth_gbps);
-  EXPECT_DOUBLE_EQ(a.bdp_packets, b.bdp_packets);
-  EXPECT_DOUBLE_EQ(a.packet_kb, b.packet_kb);
-  EXPECT_DOUBLE_EQ(a.hold_queue_pkts, b.hold_queue_pkts);
-  EXPECT_DOUBLE_EQ(a.hold_rate_x, b.hold_rate_x);
-  EXPECT_DOUBLE_EQ(a.rate_max_x, b.rate_max_x);
-  EXPECT_DOUBLE_EQ(a.queue_max_pkts, b.queue_max_pkts);
-  EXPECT_DOUBLE_EQ(a.queue_step_pkts, b.queue_step_pkts);
-
-  const SweepRunner runner(2);
-  const auto tables = run_config(from_bench, runner);
-  EXPECT_EQ(render_all(run_config(from_config, runner)),
-            render_all(tables));
+/// configs/fig2_reaction.toml renders the paper's Fig. 2 panels and
+/// its printed disambiguation numbers (the config's golden pins every
+/// other byte).
+TEST(RunnerGolden, Fig2ConfigReproducesThePaperNumbers) {
+  const RunnerConfig cfg = load_shipped_config("fig2_reaction.toml");
+  EXPECT_EQ(cfg.kind, "single_flow");
+  const auto tables = run_config(cfg, SweepRunner(1));
 
   // The three panels, by slug...
   ASSERT_EQ(tables.size(), 3u);
@@ -229,12 +138,15 @@ TEST(RunnerGolden, Fig2ConfigMatchesBench) {
 }
 
 TEST(RunnerGolden, ShippedConfigsAllLoad) {
-  for (const char* name :
-       {"fig2_reaction.toml", "fig4_quick.toml", "fig5_quick.toml",
-        "fig6_quick.toml", "fig7_load_sweep.toml", "fig8_quick.toml",
-        "fig9_oc.toml"}) {
+  const std::string dir = std::string(POWERTCP_SOURCE_DIR) + "/configs";
+  int loaded = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".toml") continue;
+    const std::string name = entry.path().filename().string();
     EXPECT_NO_THROW(load_shipped_config(name)) << name;
+    ++loaded;
   }
+  EXPECT_GT(loaded, 0);
 }
 
 RunnerConfig mini_fat_tree_config() {
@@ -858,6 +770,107 @@ TEST(Runner, MicrosecondKeysRejectNegativeAndOverflowingValues) {
   // Zero is a legal offset.
   EXPECT_NO_THROW(load_runner_config(
       ConfigFile::parse(head + "burst_at_us = 0\n", "ok.toml")));
+}
+
+/// "[experiment] kind = <kind>" with one scheme, then `sections`
+/// (whose second line is line 5 of the file).
+std::string kind_config(const std::string& kind, const std::string& scheme,
+                        const std::string& sections) {
+  return "[experiment]\nkind = " + kind + "\nschemes = " + scheme + "\n" +
+         sections;
+}
+
+TEST(Runner, BinKeysMustBePositive) {
+  // A zero bin used to die with SIGFPE on horizon / bin; 1e-9 us rounds
+  // to a zero-picosecond bin.
+  const struct {
+    const char* kind;
+    const char* scheme;
+    const char* key;
+  } cases[] = {
+      {"incast", "powertcp", "bin_us"},
+      {"rdcn", "powertcp", "bin_us"},
+      {"dumbbell", "powertcp", "bin_us"},
+      {"homa_oc", "homa", "fairness_bin_us"},
+      {"homa_oc", "homa", "incast_bin_us"},
+  };
+  for (const auto& c : cases) {
+    for (const char* v : {"0", "1e-9"}) {
+      const std::string work =
+          std::string("[workload]\n") + c.key + " = " + v + "\n";
+      expect_rejected_at(kind_config(c.kind, c.scheme, work), 5, c.key);
+    }
+  }
+}
+
+TEST(Runner, RateKeysMustBePositive) {
+  // A zero line rate used to fail at run time with "schedule_at: time
+  // ... is before now" and no file:line.
+  const char* mix = "[workload]\ncc_mix = powertcp\n";
+  const struct {
+    const char* kind;
+    const char* scheme;
+    const char* key;
+    const char* rest;
+  } cases[] = {
+      {"fat_tree", "powertcp", "host_gbps", ""},
+      {"fat_tree", "powertcp", "fabric_gbps", ""},
+      {"incast", "powertcp", "host_gbps", ""},
+      {"homa_oc", "homa", "fabric_gbps", ""},
+      {"rdcn", "powertcp", "host_gbps", ""},
+      {"rdcn", "powertcp", "circuit_gbps", ""},
+      {"dumbbell", "powertcp", "host_gbps", ""},
+      {"dumbbell", "powertcp", "bottleneck_gbps", ""},
+      {"mixed_cc", "powertcp", "host_gbps", mix},
+      {"mixed_cc", "powertcp", "bottleneck_gbps", mix},
+  };
+  for (const auto& c : cases) {
+    for (const char* v : {"0", "-10"}) {
+      const std::string sections =
+          std::string("[topology]\n") + c.key + " = " + v + "\n" + c.rest;
+      expect_rejected_at(kind_config(c.kind, c.scheme, sections), 5, c.key);
+    }
+  }
+  const std::string packet = "[workload]\npacket_gbps = 25, 0\n";
+  expect_rejected_at(kind_config("rdcn", "powertcp", packet), 5, "packet_gbps");
+}
+
+TEST(Runner, LongCompanionsMustBeNonNegativeAndFitTheFabric) {
+  const std::string work = "[workload]\nquery_kb = 0\nfan_in = 0\n";
+  // -1 used to load and silently run no companions.
+  const std::string negative = work + "long_companions = -1\n";
+  expect_rejected_at(kind_config("incast", "powertcp", negative), 7,
+                     "long_companions");
+  // More companions than hosts used to fail with vector::_M_range_check.
+  const std::string big = work + "long_companions = 100000\nhorizon_ms = 1\n";
+  const RunnerConfig cfg = load_runner_config(
+      ConfigFile::parse(kind_config("incast", "powertcp", big), "big.toml"));
+  try {
+    run_config(cfg, SweepRunner(1));
+    ADD_FAILURE() << "100000 companions ran on the quick fabric";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("long_companions"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Runner, FatTreeCountsMustBePositive) {
+  // pods = -2 used to fail with "cannot create std::vector larger than
+  // max_size()" while the shard plan was built.
+  for (const char* key :
+       {"pods", "tors_per_pod", "aggs_per_pod", "cores", "servers_per_tor"}) {
+    for (const char* v : {"-2", "3000000000"}) {
+      const std::string topo =
+          std::string("[topology]\n") + key + " = " + v + "\n";
+      expect_rejected_at(kind_config("fat_tree", "powertcp", topo), 5, key);
+    }
+  }
+  // A zero count loads and fails in the fat-tree's own check.
+  const std::string zero = "[topology]\npods = 0\n";
+  const RunnerConfig cfg = load_runner_config(
+      ConfigFile::parse(kind_config("fat_tree", "powertcp", zero), "z.toml"));
+  EXPECT_THROW(run_config(cfg, SweepRunner(1)), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -55,10 +57,13 @@ TEST(ShardedEngine, EqualKeyMixedOriginTieIsCountedAmbiguous) {
                   [&] { order.push_back(2); }, 3);
   s.run();
   // seq decides the pop order (the remote entry was created first
-  // here); the point is that the ambiguity is DETECTED, so the harness
-  // can fall back to the sequential engine.
+  // here); the point is that the ambiguity is DETECTED, so a sharded
+  // run refuses to claim it matched the sequential engine.
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
   EXPECT_EQ(s.boundary_ambiguities(), 1u);
+  EXPECT_EQ(s.first_ambiguity().time, nanoseconds(50));
+  EXPECT_EQ(s.first_ambiguity().sched, nanoseconds(40));
+  EXPECT_EQ(s.first_ambiguity().tie, 0u);
 }
 
 TEST(ShardedEngine, EqualKeyLocalTiesAreNotAmbiguous) {
@@ -125,6 +130,35 @@ TEST(ShardedEngine, IndependentShardsAdvanceInLockstepWindows) {
   EXPECT_GT(eng.windows(), 0u);
   EXPECT_EQ(eng.events_executed(), 4000u);
   EXPECT_EQ(eng.boundary_ambiguities(), 0u);
+}
+
+TEST(ShardedEngine, AmbiguousMultiShardRunThrowsNamingTheKey) {
+  // Shard 0's ingest hook plants a delivery from shard 1 whose key
+  // (time 50 ns, sched 40 ns, tie 0) equals a local event's: the run
+  // cannot prove itself identical to the sequential engine, so
+  // run_until must fail instead of returning its tables.
+  ShardedSimulator eng(2);
+  eng.set_lookahead(nanoseconds(100));
+  Simulator& s0 = eng.shard(0);
+  s0.schedule_at(nanoseconds(40),
+                 [&s0] { s0.schedule_at(nanoseconds(50), [] {}); });
+  bool planted = false;
+  eng.set_ingest_hook(0, [&s0, &planted] {
+    if (planted) return;
+    planted = true;
+    s0.schedule_from(nanoseconds(40), nanoseconds(50), [] {}, 2);
+  });
+  try {
+    eng.run_until(microseconds(1));
+    FAIL() << "an ambiguous 2-shard run returned";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("2-shard"), std::string::npos) << what;
+    EXPECT_NE(what.find("(time=50000ps, sched=40000ps, tie=0)"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(eng.boundary_ambiguities(), 1u);
 }
 
 TEST(ShardedEngine, EventExceptionAbortsTheRunAndRethrows) {

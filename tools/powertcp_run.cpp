@@ -11,7 +11,6 @@
 /// byte-identical for every thread count.
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,7 +23,6 @@
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario_registry.hpp"
-#include "harness/shard_setup.hpp"
 
 using namespace powertcp;
 
@@ -175,24 +173,14 @@ int main(int argc, char** argv) {
       for (auto& table : harness::run_config(cfg, reporter.runner())) {
         reporter.add(std::move(table));
       }
-    } catch (const std::exception& e) {
+    } catch (const harness::ConfigError& e) {
+      // Already "file:line: ..." where the file is known.
       std::fprintf(stderr, "powertcp_run: %s\n", e.what());
       return 2;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "powertcp_run: %s: %s\n", path.c_str(), e.what());
+      return 2;
     }
-  }
-  // Fallback visibility: points whose boundary-ambiguity detector fired
-  // were rerun on the sequential engine (same bytes, none of the
-  // speedup). Surface the count so "sharded but silently sequential"
-  // can't hide — the shipped configs are expected to report 0 now that
-  // the tie-token orders cross-shard ties exactly.
-  const std::uint64_t fallbacks =
-      harness::shard_fallback_count().load(std::memory_order_relaxed);
-  reporter.set_shard_fallbacks(fallbacks);
-  if (fallbacks > 0) {
-    std::fprintf(stderr,
-                 "powertcp_run: %llu simulation point(s) fell back to the "
-                 "sequential engine (boundary ambiguity; results exact)\n",
-                 static_cast<unsigned long long>(fallbacks));
   }
   return reporter.finish();
 }
