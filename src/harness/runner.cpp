@@ -1,5 +1,6 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -74,13 +75,17 @@ sim::Bandwidth get_gbps(SectionView& v, const std::string& key,
   return sim::Bandwidth::gbps(gbps);
 }
 
-/// A switch or host count. Negative counts size the shard plan's
-/// vectors from a negative number, so they fail here; zero is left to
-/// the topology's own check, which throws when the point is built.
-int get_count(SectionView& v, const std::string& key, int fallback) {
+/// A switch or host count of at least `min`. Negative counts size the
+/// shard plan's vectors from a negative number, so they always fail
+/// here; zero is left to the topology's own check, which throws when
+/// the point is built, unless `min` asks for more (an RDCN needs two
+/// ToRs and one server per ToR, which its build checks late or not at
+/// all).
+int get_count(SectionView& v, const std::string& key, int fallback,
+              int min = 0) {
   const std::int64_t n = v.get_int(key, fallback);
-  if (n < 0 || n > std::numeric_limits<int>::max()) {
-    v.reject(key, "must be an integer >= 1");
+  if (n < min || n > std::numeric_limits<int>::max()) {
+    v.reject(key, "must be an integer >= " + std::to_string(std::max(min, 1)));
   }
   return static_cast<int>(n);
 }
@@ -106,6 +111,9 @@ void load_fat_tree_topology(SectionView& topo, topo::FatTreeConfig* cfg,
   cfg->fabric_bw = get_gbps(topo, "fabric_gbps", cfg->fabric_bw);
   cfg->buffer_bytes_per_gbps =
       topo.get_int("buffer_bytes_per_gbps", cfg->buffer_bytes_per_gbps);
+  if (cfg->buffer_bytes_per_gbps < 0) {
+    topo.reject("buffer_bytes_per_gbps", "must be >= 0");
+  }
   cfg->dt_alpha = topo.get_double("dt_alpha", cfg->dt_alpha);
 }
 
@@ -144,12 +152,21 @@ sim::TimePs get_us(SectionView& v, const std::string& key,
   return sim::from_seconds(s);
 }
 
-/// A sampling bin in microseconds: like get_us, but must be > 0 (the
-/// horizon is divided into bins of this width).
+/// Most bins a sampling series may span. The horizon is divided into
+/// bins and each bin is a table row or vector entry, so a tiny bin must
+/// fail here rather than in the allocator. The shipped configs use at
+/// most 80.
+constexpr sim::TimePs kMaxBins = 1'000'000;
+
+/// A sampling bin in microseconds over `horizon`: like get_us, but must
+/// be > 0 and leave at most kMaxBins bins.
 sim::TimePs get_bin_us(SectionView& v, const std::string& key,
-                       sim::TimePs fallback) {
+                       sim::TimePs fallback, sim::TimePs horizon) {
   const sim::TimePs bin = get_us(v, key, fallback);
-  if (bin <= 0) v.reject(key, "must be > 0 and at most 9e12 us");
+  if (bin <= 0 || horizon / bin > kMaxBins) {
+    v.reject(key, "must be > 0 and leave at most 1000000 bins over the "
+                  "horizon");
+  }
   return bin;
 }
 
@@ -292,7 +309,8 @@ std::unique_ptr<ScenarioConfig> load_incast_kind(const ConfigFile& file,
   sc->incast.long_companions = static_cast<int>(companions);
   sc->incast.burst_at = get_us(work, "burst_at_us", sc->incast.burst_at);
   sc->incast.horizon = get_ms(work, "horizon_ms", sc->incast.horizon);
-  sc->incast.bin = get_bin_us(work, "bin_us", sc->incast.bin);
+  sc->incast.bin =
+      get_bin_us(work, "bin_us", sc->incast.bin, sc->incast.horizon);
   sc->incast.expected_flows = static_cast<int>(
       work.get_int("expected_flows", sc->incast.expected_flows));
   return sc;
@@ -318,14 +336,14 @@ std::unique_ptr<ScenarioConfig> load_rdcn_kind(const ConfigFile& file,
     throw ConfigError(file.origin() + ": [topology] preset = '" + preset +
                       "' is not one of small, paper");
   }
-  sc->rdcn.topo.n_tors =
-      static_cast<int>(topo.get_int("n_tors", sc->rdcn.topo.n_tors));
-  sc->rdcn.topo.servers_per_tor = static_cast<int>(
-      topo.get_int("servers_per_tor", sc->rdcn.topo.servers_per_tor));
+  sc->rdcn.topo.n_tors = get_count(topo, "n_tors", sc->rdcn.topo.n_tors, 2);
+  sc->rdcn.topo.servers_per_tor =
+      get_count(topo, "servers_per_tor", sc->rdcn.topo.servers_per_tor, 1);
   sc->rdcn.topo.host_bw = get_gbps(topo, "host_gbps", sc->rdcn.topo.host_bw);
   sc->rdcn.topo.circuit_bw =
       get_gbps(topo, "circuit_gbps", sc->rdcn.topo.circuit_bw);
   sc->rdcn.topo.day = get_us(topo, "day_us", sc->rdcn.topo.day);
+  if (sc->rdcn.topo.day <= 0) topo.reject("day_us", "must be > 0");
   sc->rdcn.topo.night = get_us(topo, "night_us", sc->rdcn.topo.night);
   sc->packet_gbps = work.get_double_list("packet_gbps", sc->packet_gbps);
   if (sc->packet_gbps.empty()) {
@@ -340,7 +358,7 @@ std::unique_ptr<ScenarioConfig> load_rdcn_kind(const ConfigFile& file,
                       static_cast<double>(sc->rdcn.flow_bytes) / 1e6) *
       1e6);
   sc->rdcn.horizon = get_ms(work, "horizon_ms", sc->rdcn.horizon);
-  sc->rdcn.bin = get_bin_us(work, "bin_us", sc->rdcn.bin);
+  sc->rdcn.bin = get_bin_us(work, "bin_us", sc->rdcn.bin, sc->rdcn.horizon);
   sc->rdcn.expected_flows = static_cast<int>(
       work.get_int("expected_flows", sc->rdcn.expected_flows));
   return sc;
@@ -390,13 +408,16 @@ std::unique_ptr<ScenarioConfig> load_dumbbell_kind(const ConfigFile& file,
   d.topo.link_delay = get_us(topo, "link_delay_us", d.topo.link_delay);
   d.topo.dt_alpha = topo.get_double("dt_alpha", d.topo.dt_alpha);
   if (topo.has("buffer_kb")) {
-    d.topo.buffer_bytes =
-        static_cast<std::int64_t>(topo.get_double("buffer_kb", 0) * 1e3);
+    const double kb = topo.get_double("buffer_kb", 0);
+    if (!(kb >= 0) || kb * 1e3 > 9.0e18) {
+      topo.reject("buffer_kb", "must be >= 0 and an in-range size");
+    }
+    d.topo.buffer_bytes = static_cast<std::int64_t>(kb * 1e3);
   }
   load_flow_mb(work, &d.flow_bytes, file);
   d.stagger = get_us(work, "stagger_us", d.stagger);
   d.horizon = get_ms(work, "horizon_ms", d.horizon);
-  d.bin = get_bin_us(work, "bin_us", d.bin);
+  d.bin = get_bin_us(work, "bin_us", d.bin, d.horizon);
   d.row_stride = static_cast<int>(work.get_int("row_every", d.row_stride));
   if (d.row_stride < 1) {
     throw ConfigError(file.origin() + ": [workload] row_every must be >= 1");
@@ -425,7 +446,8 @@ std::unique_ptr<ScenarioConfig> load_homa_oc_kind(const ConfigFile& file,
   h.fairness.stagger = get_us(work, "stagger_us", h.fairness.stagger);
   h.fairness.horizon =
       get_ms(work, "fairness_horizon_ms", h.fairness.horizon);
-  h.fairness.bin = get_bin_us(work, "fairness_bin_us", h.fairness.bin);
+  h.fairness.bin = get_bin_us(work, "fairness_bin_us", h.fairness.bin,
+                              h.fairness.horizon);
   h.fairness.row_stride = static_cast<int>(
       work.get_int("fairness_row_every", h.fairness.row_stride));
   if (h.fairness.row_stride < 1) {
@@ -442,7 +464,8 @@ std::unique_ptr<ScenarioConfig> load_homa_oc_kind(const ConfigFile& file,
       1e3, "burst_kb", file);
   h.burst_at = get_us(work, "burst_at_us", h.burst_at);
   h.incast_horizon = get_ms(work, "incast_horizon_ms", h.incast_horizon);
-  h.incast_bin = get_bin_us(work, "incast_bin_us", h.incast_bin);
+  h.incast_bin =
+      get_bin_us(work, "incast_bin_us", h.incast_bin, h.incast_horizon);
   return sc;
 }
 

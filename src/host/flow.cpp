@@ -34,7 +34,6 @@ FlowSender::~FlowSender() {
   sim::Simulator& sim = host_.simulator();
   if (pacing_timer_armed_) sim.cancel(pacing_timer_);
   if (rto_armed_) sim.cancel(rto_timer_);
-  if (!started_) sim.cancel(start_event_);
 }
 
 void FlowSender::start() {
@@ -113,6 +112,7 @@ void FlowSender::arm_pacing_timer(sim::TimePs when) {
   pacing_timer_armed_ = true;
   pacing_timer_ = host_.simulator().schedule_at(when, [this] {
     pacing_timer_armed_ = false;
+    ++pacing_wakeups_;
     try_send();
   });
 }

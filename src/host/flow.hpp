@@ -74,14 +74,12 @@ class FlowSender {
   cc::CcAlgorithm& algorithm() { return *cc_; }
 
   std::uint64_t timeouts() const { return timeouts_; }
+  /// Pacing-timer wakeups so far (what a larger pacing quantum cuts).
+  std::uint64_t pacing_wakeups() const { return pacing_wakeups_; }
 
   void set_completion_callback(CompletionCallback cb) {
     on_complete_ = std::move(cb);
   }
-
-  /// Records the Host-scheduled start event so destruction before the
-  /// flow begins cancels it (the event captures `this`).
-  void set_start_event(sim::EventId id) { start_event_ = id; }
 
  private:
   void try_send();
@@ -111,13 +109,13 @@ class FlowSender {
   sim::EventId pacing_timer_{};
   bool rto_armed_ = false;
   sim::EventId rto_timer_{};
-  sim::EventId start_event_{};
   sim::TimePs current_rto_ = 0;
   sim::TimePs srtt_ = 0;
   bool started_ = false;
   sim::TimePs start_time_ = 0;
   sim::TimePs finish_time_ = -1;
   std::uint64_t timeouts_ = 0;
+  std::uint64_t pacing_wakeups_ = 0;
   CompletionCallback on_complete_;
 };
 

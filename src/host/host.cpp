@@ -1,5 +1,6 @@
 #include "host/host.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "host/flow.hpp"
@@ -12,7 +13,9 @@ Host::Host(sim::Simulator& simulator, net::NodeId id, std::string name)
     : net::Node(id, std::move(name)), sim_(simulator) {}
 
 Host::~Host() {
-  // Armed retire and ack-aggregation timers capture `this`.
+  // The queued flow start, armed retire and ack-aggregation timers
+  // capture `this`.
+  sim_.cancel(start_event_);
   for (auto& [flow, rs] : receivers_) {
     if (rs.retire_armed) sim_.cancel(rs.retire_event);
     if (rs.agg_armed) sim_.cancel(rs.agg_event);
@@ -194,6 +197,9 @@ FlowSender& Host::start_flow(net::FlowId flow, net::NodeId dst,
                              const cc::FlowParams& params,
                              sim::TimePs start_time,
                              CompletionCallback on_complete) {
+  // Reserved first, so a start in the past throws before the sender
+  // exists.
+  const sim::EventKey key = sim_.reserve(start_time);
   auto sender = std::make_unique<FlowSender>(*this, flow, dst, size_bytes,
                                              std::move(algorithm), params,
                                              sender_cfg_);
@@ -202,7 +208,26 @@ FlowSender& Host::start_flow(net::FlowId flow, net::NodeId dst,
   if (!inserted) {
     throw std::invalid_argument("Host::start_flow: duplicate flow id");
   }
-  raw->set_start_event(sim_.schedule_at(start_time, [raw] { raw->start(); }));
+  const bool idle = next_start_ == unstarted_.size();
+  // Plans are sorted by start time, so a new flow normally goes last.
+  if (idle || sim::earlier(unstarted_.back().key, key)) {
+    unstarted_.push_back({key, raw});
+    if (idle) arm_next_start();
+  } else {
+    const auto head = unstarted_.begin() +
+                      static_cast<std::ptrdiff_t>(next_start_);
+    const auto pos = std::upper_bound(
+        head, unstarted_.end(), key,
+        [](const sim::EventKey& k, const UnstartedFlow& u) {
+          return sim::earlier(k, u.key);
+        });
+    const bool new_head = pos == head;
+    unstarted_.insert(pos, {key, raw});
+    if (new_head) {
+      sim_.cancel(start_event_);
+      arm_next_start();
+    }
+  }
   if (on_complete) {
     // Poll-free completion: the sender records finish_time; we watch the
     // ack path by wrapping via a completion check after each ack would
@@ -210,6 +235,24 @@ FlowSender& Host::start_flow(net::FlowId flow, net::NodeId dst,
     raw->set_completion_callback(std::move(on_complete));
   }
   return *raw;
+}
+
+void Host::arm_next_start() {
+  start_event_ = sim_.schedule_reserved(unstarted_[next_start_].key,
+                                        [this] { start_next_flow(); });
+}
+
+void Host::start_next_flow() {
+  FlowSender* next = unstarted_[next_start_++].sender;
+  if (next_start_ == unstarted_.size()) {
+    unstarted_.clear();  // keeps the capacity for later flows
+    next_start_ = 0;
+  } else {
+    // Queue the following start first: the flow's start may itself
+    // call start_flow (e.g. from a completion callback).
+    arm_next_start();
+  }
+  next->start();
 }
 
 FlowSender* Host::sender(net::FlowId flow) {

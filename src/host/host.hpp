@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "cc/cc_algorithm.hpp"
 #include "host/flow.hpp"
@@ -38,7 +39,10 @@ class Host final : public net::Node {
   /// where a packet's trip through the pool ends.
   void receive(net::PacketPool::Handle h, int in_port) override;
 
-  /// Creates a sender flow; transmission begins at `start_time`.
+  /// Creates a sender flow; transmission begins at `start_time`. The
+  /// flow waits in the host's start list, ordered by the key its start
+  /// event would have taken now (Simulator::reserve); only the earliest
+  /// start sits in the engine's pending set.
   FlowSender& start_flow(net::FlowId flow, net::NodeId dst,
                          std::int64_t size_bytes,
                          std::unique_ptr<cc::CcAlgorithm> algorithm,
@@ -115,6 +119,11 @@ class Host final : public net::Node {
     net::Packet agg_pkt;
   };
 
+  /// Queues the start event of the earliest unstarted flow.
+  void arm_next_start();
+  /// Start event: starts the earliest unstarted flow.
+  void start_next_flow();
+
   void handle_data(net::Packet& pkt);
   void handle_ack(const net::Packet& pkt);
   void retire_receiver(net::FlowId flow);
@@ -123,6 +132,17 @@ class Host final : public net::Node {
   sim::Simulator& sim_;
   std::unordered_map<net::FlowId, std::unique_ptr<FlowSender>> senders_;
   std::unordered_map<net::FlowId, ReceiverState> receivers_;
+  /// A flow created by start_flow that has not started yet.
+  struct UnstartedFlow {
+    sim::EventKey key;  ///< its reserved start key
+    FlowSender* sender;
+  };
+  /// Unstarted flows in start-key order from index next_start_ on (the
+  /// started prefix is dropped once the list drains); the first one's
+  /// start event (start_event_) is the only one queued.
+  std::vector<UnstartedFlow> unstarted_;
+  std::size_t next_start_ = 0;
+  sim::EventId start_event_{};
   std::unique_ptr<HomaTransport> homa_;
   DataCallback data_cb_;
   sim::TimePs ack_agg_window_ = 0;

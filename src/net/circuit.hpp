@@ -77,6 +77,8 @@ class CircuitPort final : public EgressPort {
     voqs_->push(h, pkt);
   }
   SelectResult try_select() override;
+  /// Selection follows the circuit schedule, not just the backlog.
+  bool finish_always_due() const override { return true; }
 
  private:
   VoqSet* voqs_;
@@ -100,6 +102,8 @@ class VoqUplinkPort final : public EgressPort {
     voqs_->push(h, pkt);
   }
   SelectResult try_select() override;
+  /// Selection skips the circuit-served VOQ, which changes by schedule.
+  bool finish_always_due() const override { return true; }
 
  private:
   VoqSet* voqs_;

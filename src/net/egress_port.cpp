@@ -12,15 +12,14 @@ EgressPort::EgressPort(sim::Simulator& simulator, sim::Bandwidth bw,
     : sim_(simulator), bandwidth_(bw), propagation_(propagation_delay) {}
 
 EgressPort::~EgressPort() {
-  // The pending wakeup and the in-flight serialization both capture
-  // `this`; cancel them so destroying a port mid-run (e.g. tearing a
-  // topology down) cannot leave a dangling callback in the engine.
-  // Packets already on the wire (propagation events) still reference
-  // this port and its peer: as in the pre-pool engine, nodes must
-  // outlive deliveries in flight — don't run the simulator after
+  // The pending wakeup and a queued finish both capture `this`; cancel
+  // them so destroying a port mid-run (e.g. tearing a topology down)
+  // cannot leave a dangling callback in the engine. Deliveries already
+  // scheduled capture only their peer: as in the pre-pool engine, nodes
+  // must outlive deliveries in flight — don't run the simulator after
   // destroying parts of a network that still has packets airborne.
   if (pending_kick_at_ != sim::kTimeInfinity) sim_.cancel(pending_kick_id_);
-  if (busy_) sim_.cancel(tx_event_);
+  sim_.cancel(finish_event_);
 }
 
 void EgressPort::use_pool(PacketPool* pool) {
@@ -28,6 +27,11 @@ void EgressPort::use_pool(PacketPool* pool) {
     throw std::logic_error("EgressPort::use_pool: packets already parked");
   }
   pool_ = pool;
+}
+
+void EgressPort::set_shared_buffer(DtSharedBuffer* buf) {
+  shared_buffer_ = buf;
+  buffer_slot_ = buf != nullptr ? buf->add_port(sim_) : -1;
 }
 
 bool EgressPort::enqueue(PacketPool::Handle h) {
@@ -67,7 +71,11 @@ bool EgressPort::enqueue(PacketPool::Handle h) {
 }
 
 void EgressPort::kick() {
-  if (busy_) return;
+  if (busy()) {
+    // Still on the wire: the finish must now run to serve what waits.
+    schedule_finish();
+    return;
+  }
   const SelectResult sel = try_select();
   if (sel.pkt.has_value()) {
     if (pending_kick_at_ != sim::kTimeInfinity) {
@@ -91,8 +99,19 @@ void EgressPort::kick() {
   });
 }
 
+void EgressPort::schedule_finish() {
+  if (finish_event_.seq == finish_key_.seq) return;
+  // At the finish the wire is free (busy() reads the passed key), so
+  // the kick serializes the next packet or arms a retry.
+  finish_event_ = sim_.schedule_reserved(finish_key_, [this] { kick(); });
+}
+
 void EgressPort::start_tx(PacketPool::Handle h) {
-  busy_ = true;
+  if (tie_token_ == 0) {
+    throw std::logic_error(
+        "EgressPort: transmitting without a tie token (attach the port "
+        "to a node, or set_tie_token a unique nonzero one)");
+  }
   Packet& pkt = pool_->get(h);
   // INT is stamped "when the packet is scheduled for transmission"
   // (paper §3.3): queue length is the backlog left behind, txBytes the
@@ -111,54 +130,41 @@ void EgressPort::start_tx(PacketPool::Handle h) {
   const std::int64_t wire = pkt.wire_bytes();
   tx_bytes_ += wire;
   ++tx_packets_;
-  const sim::TimePs tx_time = bandwidth_.tx_time(wire);
+  // The key an eager finish event would take here; the packet's bytes
+  // leave the shared buffer once it has passed.
+  const sim::TimePs finish = sim_.now() + bandwidth_.tx_time(wire);
+  finish_key_ = sim_.reserve(finish);
+  if (shared_buffer_ != nullptr) {
+    shared_buffer_->release_at(buffer_slot_, finish_key_, wire);
+  }
+  // The delivery carries the key the finish would have given it:
+  // (finish + propagation, sched = finish, this port's tie token).
+  const sim::TimePs arrival = finish + propagation_;
   if (remote_ != nullptr) {
     // EARLY PUBLICATION (lookahead batching): the packet's content is
     // final here — ECN was decided at enqueue, INT stamped above — and
-    // so are its serialization finish (now + tx_time, the causal stamp
-    // the sequential engine's finish_tx would use) and delivery time.
-    // Publishing at start_tx instead of finish_tx guarantees every
+    // so is its delivery key. Publishing at start_tx guarantees every
     // cross-shard delivery lands at least tx_time(min packet) beyond
     // the event that produced it, which is what lets the cut-link
     // weight — and therefore the engine's lookahead windows — include
     // the flit serialization delay on top of propagation (see
     // ShardedSimulator::add_cut_edge and docs/performance.md §6).
-    remote_->send(sim_.now() + tx_time + propagation_, sim_.now() + tx_time,
-                  tie_token_, pool_->take(h));
-    tx_event_ = sim_.schedule_in(tx_time,
-                                 [this, wire] { finish_remote_tx(wire); });
-    return;
-  }
-  tx_event_ = sim_.schedule_in(tx_time, [this, h] { finish_tx(h); });
-}
-
-void EgressPort::finish_tx(PacketPool::Handle h) {
-  busy_ = false;
-  const std::int64_t wire = pool_->get(h).wire_bytes();
-  if (shared_buffer_ != nullptr) shared_buffer_->on_dequeue(wire);
-  if (tx_monitor_ != nullptr) tx_monitor_->add_bytes(sim_.now(), wire);
-  // The peer redeems the handle; without a peer the packet is dropped
-  // now.
-  if (peer_ == nullptr) {
-    pool_->release(h);
+    remote_->send(arrival, finish, tie_token_, pool_->take(h));
+  } else if (peer_ == nullptr) {
+    pool_->release(h);  // no peer: the packet is dropped as it leaves
   } else {
     if (&peer_->pool() != pool_) {
       throw std::logic_error(
           "EgressPort: local delivery to node '" + peer_->name() +
           "' on another packet pool (only a ShardChannel crosses pools)");
     }
-    sim_.schedule_tied_at(sim_.now() + propagation_, tie_token_, [this, h] {
-      peer_->receive(h, peer_in_port_);
-    });
+    sim_.schedule_reserved(
+        sim_.reserve(arrival, finish, tie_token_),
+        [peer = peer_, in_port = peer_in_port_, h] {
+          peer->receive(h, in_port);
+        });
   }
-  kick();
-}
-
-void EgressPort::finish_remote_tx(std::int64_t wire_bytes) {
-  busy_ = false;
-  if (shared_buffer_ != nullptr) shared_buffer_->on_dequeue(wire_bytes);
-  if (tx_monitor_ != nullptr) tx_monitor_->add_bytes(sim_.now(), wire_bytes);
-  kick();
+  if (finish_always_due() || queue_bytes() > 0) schedule_finish();
 }
 
 void EgressPort::sample_queue() {

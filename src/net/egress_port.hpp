@@ -24,10 +24,20 @@
 /// A port admits packets by handle: the packet is already parked in its
 /// node's PacketPool (the engine shard's, see node.hpp), the queue
 /// discipline holds the handle, INT is stamped into the parked packet
-/// in place, and the same handle rides the finish and delivery events
-/// into the peer's Node::receive — no copy at any switch hop. A drop
-/// releases the handle. Across a shard cut the packet leaves the pool
-/// into the channel at start_tx.
+/// in place, and the same handle rides the delivery event into the
+/// peer's Node::receive — no copy at any switch hop. A drop releases
+/// the handle. Across a shard cut the packet leaves the pool into the
+/// channel at start_tx.
+///
+/// One event per hop when nothing waits: start_tx schedules the
+/// delivery itself, under the key the serialization-finish event would
+/// have given it, and only RESERVES the finish's key
+/// (sim::Simulator::reserve). The finish event is queued under that key
+/// only when it has work — a backlog at start_tx, or a kick while the
+/// packet is still on the wire — and otherwise the port is idle once
+/// the key has passed. The shared buffer releases the packet's bytes by
+/// the same key comparison (DtSharedBuffer::release_at), so every
+/// observable moment matches an eager finish event exactly.
 
 namespace powertcp::net {
 
@@ -61,7 +71,11 @@ class EgressPort {
   /// This port's tie token: a nonzero, topology-derived identifier
   /// stamped into every delivery event's key so same-picosecond
   /// delivery ties resolve identically in sequential and sharded runs
-  /// (see Node::attach_port, which installs it).
+  /// (see Node::attach_port, which installs it). It is load-bearing:
+  /// a delivery is scheduled at serialization start, so its seq no
+  /// longer reflects the finish instant and only a nonzero token unique
+  /// among the engine's ports orders it. A port without one throws
+  /// when it transmits.
   void set_tie_token(std::uint32_t tie) { tie_token_ = tie; }
   std::uint32_t tie_token() const { return tie_token_; }
 
@@ -76,7 +90,9 @@ class EgressPort {
   /// The installed policy, or nullptr (hosts, disabled-ECN fabrics).
   const Aqm* aqm() const { return aqm_.get(); }
   void set_int_enabled(bool on) { int_enabled_ = on; }
-  void set_shared_buffer(DtSharedBuffer* buf) { shared_buffer_ = buf; }
+  /// Charges admitted packets to `buf` (not owned), which every port of
+  /// the switch shares; each port holds one pending release slot in it.
+  void set_shared_buffer(DtSharedBuffer* buf);
 
   /// Admits (or drops) the packet parked in this port's pool under
   /// `h` and starts the transmitter if idle. Returns false iff the
@@ -112,11 +128,11 @@ class EgressPort {
   /// Cumulative packets ECN-marked by this port's AQM — a
   /// flight-recorder tap point.
   std::uint64_t ecn_marks() const { return ecn_marks_; }
-  bool busy() const { return busy_; }
+  /// True while a packet is on the wire: its finish key has not passed.
+  bool busy() const { return !sim_.passed(finish_key_); }
 
   /// Optional monitoring hooks (not owned).
   void set_queue_monitor(stats::QueueSeries* m) { queue_monitor_ = m; }
-  void set_tx_monitor(stats::ThroughputSeries* m) { tx_monitor_ = m; }
   void set_sojourn_callback(std::function<void(sim::TimePs)> cb) {
     sojourn_cb_ = std::move(cb);
   }
@@ -140,19 +156,20 @@ class EgressPort {
   virtual void push_to_queue(PacketPool::Handle h, const Packet& pkt) = 0;
   /// Chooses the next packet to serialize, or a retry time.
   virtual SelectResult try_select() = 0;
+  /// True when try_select() can ask for a retry with an empty backlog,
+  /// so every serialization finish must run as an event (the RDCN
+  /// ports, whose selection depends on the circuit schedule). Ports
+  /// that select from their backlog alone leave it false and skip the
+  /// finish whenever nothing waits.
+  virtual bool finish_always_due() const { return false; }
 
   sim::Simulator& simulator() { return sim_; }
   const sim::Simulator& simulator() const { return sim_; }
 
  private:
   void start_tx(PacketPool::Handle h);
-  void finish_tx(PacketPool::Handle h);
-  /// Serialization-complete bookkeeping for the cross-shard path: the
-  /// packet itself was already published to the remote channel at
-  /// start_tx (early publication — its delivery time, causal stamp and
-  /// content are final there), so the finish event only frees the wire
-  /// and settles byte accounting.
-  void finish_remote_tx(std::int64_t wire_bytes);
+  /// Queues the finish event under finish_key_ unless it is already.
+  void schedule_finish();
   void sample_queue();
 
   sim::Simulator& sim_;
@@ -167,15 +184,20 @@ class EgressPort {
   std::uint64_t ecn_marks_ = 0;
   bool int_enabled_ = false;
   DtSharedBuffer* shared_buffer_ = nullptr;
+  int buffer_slot_ = -1;  ///< this port's release slot in shared_buffer_
 
-  bool busy_ = false;
   std::int64_t tx_bytes_ = 0;
   std::uint64_t tx_packets_ = 0;
   std::uint64_t drops_ = 0;
 
   sim::TimePs pending_kick_at_ = sim::kTimeInfinity;
   sim::EventId pending_kick_id_{};
-  sim::EventId tx_event_{};  ///< pending finish_tx; valid while busy_
+  /// Reserved key of the current serialization's finish (all zero —
+  /// always passed — before the first).
+  sim::EventKey finish_key_{};
+  /// The queued finish event; its seq equals finish_key_.seq iff the
+  /// finish of the current serialization is queued.
+  sim::EventId finish_event_{};
 
   /// Where queued and in-flight packets park: the node's pool once
   /// attached (use_pool), else own_pool_ (a port driven standalone).
@@ -183,7 +205,6 @@ class EgressPort {
   PacketPool* pool_ = &own_pool_;
 
   stats::QueueSeries* queue_monitor_ = nullptr;
-  stats::ThroughputSeries* tx_monitor_ = nullptr;
   std::function<void(sim::TimePs)> sojourn_cb_;
 };
 

@@ -70,8 +70,19 @@ struct EventEntry {
 static_assert(sizeof(EventEntry) == 32,
               "EventEntry must stay two entries per 64-byte cache line");
 
+/// An event's full pop-order key without its slot: what
+/// Simulator::reserve hands out before the event is queued, and what
+/// Simulator::passed compares against the running event.
+struct EventKey {
+  TimePs time = 0;
+  TimePs sched = 0;
+  std::uint32_t tie = 0;
+  std::uint64_t seq = 0;
+};
+
 /// True when a precedes b in pop order.
-inline bool earlier(const EventEntry& a, const EventEntry& b) {
+template <typename A, typename B>
+inline bool earlier(const A& a, const B& b) {
   if (a.time != b.time) return a.time < b.time;
   if (a.sched != b.sched) return a.sched < b.sched;
   if (a.tie != b.tie) return a.tie < b.tie;

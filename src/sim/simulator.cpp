@@ -1,20 +1,17 @@
 #include "sim/simulator.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace powertcp::sim {
 
 EventId Simulator::schedule_at(TimePs t, Callback cb) {
-  return schedule_tied_at(t, 0, std::move(cb));
-}
-
-EventId Simulator::schedule_tied_at(TimePs t, std::uint32_t tie, Callback cb) {
   if (t < now_) {
     throw std::invalid_argument("Simulator::schedule_at: time " +
                                 format_time(t) + " is before now " +
                                 format_time(now_));
   }
-  return push_event(EventEntry{t, now_, 0, 0, tie}, 0, std::move(cb));
+  return push_event(EventEntry{t, now_, 0, 0, 0}, 0, std::move(cb));
 }
 
 EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
@@ -32,9 +29,32 @@ EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
                     std::move(cb));
 }
 
+void Simulator::throw_bad_reserve(TimePs t, TimePs sched) const {
+  throw std::invalid_argument("Simulator::reserve: need now " +
+                              format_time(now_) + " <= sched " +
+                              format_time(sched) + " <= time " +
+                              format_time(t));
+}
+
+EventId Simulator::schedule_reserved(const EventKey& key, Callback cb) {
+  if (passed(key)) {
+    throw std::invalid_argument(
+        "Simulator::schedule_reserved: key (time " + format_time(key.time) +
+        ", seq " + std::to_string(key.seq) +
+        ") precedes the running event's key and was reserved before it");
+  }
+  return queue_event(EventEntry{key.time, key.sched, key.seq, 0, key.tie}, 0,
+                     std::move(cb));
+}
+
 EventId Simulator::push_event(EventEntry e, std::uint32_t origin,
                               Callback&& cb) {
   e.seq = next_seq_++;
+  return queue_event(e, origin, std::move(cb));
+}
+
+EventId Simulator::queue_event(EventEntry e, std::uint32_t origin,
+                               Callback&& cb) {
   if (!free_slots_.empty()) {
     e.slot = free_slots_.back();
     free_slots_.pop_back();
@@ -75,16 +95,15 @@ bool Simulator::pop_and_run_next(TimePs limit) {
     // structurally impossible; the counter stays as the safety net
     // ShardedSimulator::run_until enforces.
     const std::uint32_t origin = slots_[top.slot].origin;
-    if (have_prev_ && prev_time_ == top.time && prev_sched_ == top.sched &&
-        prev_tie_ == top.tie && prev_origin_ != origin) {
+    if (running_.seq != 0 && running_.time == top.time &&
+        running_.sched == top.sched && running_.tie == top.tie &&
+        prev_origin_ != origin) {
       if (ambiguities_++ == 0) {
         first_ambiguity_ = TieKey{top.time, top.sched, top.tie};
       }
     }
-    have_prev_ = true;
-    prev_time_ = top.time;
-    prev_sched_ = top.sched;
-    prev_tie_ = top.tie;
+    running_ = EventKey{top.time, top.sched, top.tie, top.seq};
+    pop_seq_ = next_seq_;
     prev_origin_ = origin;
     Callback cb = std::move(slots_[top.slot].cb);
     release_slot(top.slot);
@@ -107,7 +126,9 @@ void Simulator::run_until(TimePs t) {
   stopped_ = false;
   while (!stopped_ && pop_and_run_next(t)) {
   }
-  if (!stopped_ && now_ < t) now_ = t;
+  if (stopped_) return;
+  if (now_ < t) now_ = t;
+  set_floor(t);
 }
 
 void Simulator::run_events_before(TimePs end) {
@@ -117,6 +138,7 @@ void Simulator::run_events_before(TimePs end) {
   stopped_ = false;
   while (!stopped_ && pop_and_run_next(end - 1)) {
   }
+  if (!stopped_) set_floor(end - 1);
 }
 
 TimePs Simulator::next_event_time() {

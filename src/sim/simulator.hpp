@@ -30,6 +30,14 @@
 /// cancelled event leaves its POD entry behind as a tombstone that is
 /// discarded when it reaches the top. One queue entry runs exactly one
 /// callback.
+///
+/// Work that may turn out to have nothing to do need not sit in the
+/// pending set at all: reserve() hands out the exact key an eager
+/// schedule would take, schedule_reserved() queues it only once there
+/// is work, and passed() tells lazy state whether that key has gone by.
+/// An idle port's serialization finish and a host's not-yet-due flow
+/// starts use this, so the run is byte-identical to scheduling them
+/// eagerly.
 
 namespace powertcp::sim {
 
@@ -62,17 +70,6 @@ class Simulator {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Schedules `cb` at absolute time `t` carrying tie token `tie`
-  /// (0 degenerates to schedule_at): the event sorts among
-  /// same-(time, sched) peers by the token BEFORE falling back to
-  /// scheduling order. Packet deliveries
-  /// use this with their egress port's topology-derived token (see
-  /// net::Node::attach_port) so that same-picosecond delivery ties
-  /// resolve by a key that is identical in sequential and sharded runs
-  /// — the exact-ordering half of the tie-token scheme; schedule_from
-  /// carries the same token across a shard boundary.
-  EventId schedule_tied_at(TimePs t, std::uint32_t tie, Callback cb);
-
   /// Schedules `cb` at absolute time `t` with an EXPLICIT causal
   /// timestamp `sched_time` (<= t): the event sorts among
   /// same-picosecond peers as if it had been scheduled at
@@ -91,11 +88,54 @@ class Simulator {
   /// (time, sched_time, tie) but different origins are a tie whose
   /// sequential order is not locally decidable — see
   /// boundary_ambiguities(). `tie` is the producing port's tie token
-  /// (see schedule_tied_at); deliveries stamped with a nonzero token
-  /// are exactly ordered against every differently-keyed event, so
-  /// with tokens flowing the detector is structurally silent.
+  /// (see reserve); deliveries stamped with a nonzero token are exactly
+  /// ordered against every differently-keyed event, so with tokens
+  /// flowing the detector is structurally silent.
   EventId schedule_from(TimePs sched_time, TimePs t, Callback cb,
                         std::uint32_t origin, std::uint32_t tie = 0);
+
+  /// Reserves, without queueing anything, the key an eager
+  /// schedule_at(t, ...) would take at this moment: its seq is consumed
+  /// now, so every later schedule sorts after it exactly as it would
+  /// behind the eager event. A reserved key that is never scheduled
+  /// costs nothing; schedule_reserved queues it, now or later.
+  ///
+  /// `sched` (now() <= sched <= t) stamps the key as if it were
+  /// scheduled at that later instant — how a port schedules a delivery
+  /// at serialization start with the key its finish event would have
+  /// given it. `tie` is the TIE TOKEN: the event sorts among
+  /// same-(time, sched) peers by it before falling back to scheduling
+  /// order. Packet deliveries carry their egress port's
+  /// topology-derived token (see net::Node::attach_port), so
+  /// same-picosecond delivery ties resolve by a key that is identical
+  /// in sequential and sharded runs; schedule_from carries the same
+  /// token across a shard boundary.
+  EventKey reserve(TimePs t, TimePs sched, std::uint32_t tie = 0) {
+    if (sched < now_ || sched > t) throw_bad_reserve(t, sched);
+    return EventKey{t, sched, tie, next_seq_++};
+  }
+  EventKey reserve(TimePs t) { return reserve(t, now_, 0); }
+
+  /// Queues `cb` under a key from reserve(), taking no new seq, so the
+  /// event pops exactly where the eager schedule would have. Throws if
+  /// the key has already passed (see passed()), i.e. if it precedes the
+  /// running event's key and was reserved before that event began.
+  EventId schedule_reserved(const EventKey& key, Callback cb);
+
+  /// True when an event with `key` would already have run (or is the
+  /// one running): the key was reserved before the running event
+  /// popped and sorts at or before it, or it was reserved before a
+  /// run_until(t) with t >= key.time returned — every key with time
+  /// <= t has passed once run_until(t) returns (run_events_before(end)
+  /// likewise for time < end). A key reserved by the running event
+  /// itself has not passed even when it sorts before it: an eager
+  /// event with that key would pop right after the running one. Lazy
+  /// state (an idle port's finish, a shared buffer's pending release)
+  /// compares its reserved key here instead of queueing an event.
+  bool passed(const EventKey& key) const {
+    return (!earlier(running_, key) && key.seq < pop_seq_) ||
+           (key.time <= floor_time_ && key.seq < floor_seq_);
+  }
 
   /// Count of executed same-(time, sched, tie) adjacent event pairs
   /// whose origins differ — boundary ties between a cross-shard
@@ -139,14 +179,17 @@ class Simulator {
   void run();
 
   /// Runs events with time <= `t`; afterwards now() == t unless stopped
-  /// earlier. Events scheduled beyond `t` remain pending.
+  /// earlier, and every key reserved so far with time <= t has passed.
+  /// Events scheduled beyond `t` remain pending.
   void run_until(TimePs t);
 
   /// Runs every event with time strictly below `end` (>= 1); now() is
   /// left at the last executed event, never advanced to `end`. This is
   /// the window primitive of ShardedSimulator: a shard executes one
   /// conservative lookahead window [start, end) and stops without
-  /// claiming the boundary instant, which the next window owns.
+  /// claiming the boundary instant, which the next window owns. Keys
+  /// reserved so far with time < `end` have passed afterwards (the
+  /// conservative window guarantees nothing earlier can still arrive).
   void run_events_before(TimePs end);
 
   /// Earliest pending live event time, or kTimeInfinity when idle.
@@ -197,6 +240,15 @@ class Simulator {
   /// Assigns `e` its seq and a slot holding `cb`, and queues it. The
   /// callers have validated `e`'s time, causal stamp and tie token.
   EventId push_event(EventEntry e, std::uint32_t origin, Callback&& cb);
+  /// push_event for an entry that already carries its seq.
+  EventId queue_event(EventEntry e, std::uint32_t origin, Callback&& cb);
+
+  [[noreturn]] void throw_bad_reserve(TimePs t, TimePs sched) const;
+
+  void set_floor(TimePs t) {
+    floor_time_ = t;
+    floor_seq_ = next_seq_;
+  }
 
   bool pop_and_run_next(TimePs limit);
 
@@ -231,14 +283,23 @@ class Simulator {
   std::uint64_t live_events_ = 0;
   bool stopped_ = false;
 
-  // Boundary ambiguity detector (see boundary_ambiguities()): key and
-  // origin of the previously executed event, carried across (calendar)
-  // tombstone discards. Equal-(time, sched, tie) events pop contiguously, so
-  // checking each adjacent pair catches every run that mixes origins.
-  bool have_prev_ = false;
-  TimePs prev_time_ = 0;
-  TimePs prev_sched_ = 0;
-  std::uint32_t prev_tie_ = 0;
+  /// Key of the running (or last executed) event; seq 0 before the
+  /// first one. passed() compares against it.
+  EventKey running_;
+  /// next_seq_ when the running event popped: keys with a smaller seq
+  /// were reserved before it began. Starts at 1 so the all-zero key
+  /// (seq 0, never reserved) has always passed.
+  std::uint64_t pop_seq_ = 1;
+  /// Left by a completed run_until / run_events_before: keys reserved
+  /// before it (seq < floor_seq_) with time <= floor_time_ have passed.
+  TimePs floor_time_ = -1;
+  std::uint64_t floor_seq_ = 0;
+
+  // Boundary ambiguity detector (see boundary_ambiguities()): running_
+  // is the previously executed event's key, carried across (calendar)
+  // tombstone discards, and this its origin. Equal-(time, sched, tie)
+  // events pop contiguously, so checking each adjacent pair catches
+  // every run that mixes origins.
   std::uint32_t prev_origin_ = 0;
   std::uint64_t ambiguities_ = 0;
   TieKey first_ambiguity_;

@@ -803,6 +803,72 @@ TEST(Runner, BinKeysMustBePositive) {
   }
 }
 
+TEST(Runner, BinKeysMustLeaveABoundedBinCount) {
+  // A 1 ps bin over a dumbbell's 8 ms horizon sized 8e9 bins and died
+  // with std::bad_alloc; horizon / bin is now capped at 1e6.
+  const struct {
+    const char* kind;
+    const char* scheme;
+    const char* key;
+  } cases[] = {
+      {"incast", "powertcp", "bin_us"},
+      {"rdcn", "powertcp", "bin_us"},
+      {"dumbbell", "powertcp", "bin_us"},
+      {"homa_oc", "homa", "fairness_bin_us"},
+      {"homa_oc", "homa", "incast_bin_us"},
+  };
+  for (const auto& c : cases) {
+    const std::string work =
+        std::string("[workload]\n") + c.key + " = 1e-6\n";
+    expect_rejected_at(kind_config(c.kind, c.scheme, work), 5, c.key);
+  }
+  // Exactly 1e6 bins (1 ms in 1 ns bins) still loads.
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      kind_config("dumbbell", "powertcp",
+                  "[workload]\nhorizon_ms = 1\nbin_us = 0.001\n"),
+      "ok.toml")));
+}
+
+TEST(Runner, BufferKeysMustBeNonNegative) {
+  // A negative buffer used to load and run: a fat tree dropped every
+  // packet and printed 0.0% of flows done.
+  for (const char* kind : {"fat_tree", "incast"}) {
+    expect_rejected_at(
+        kind_config(kind, "powertcp",
+                    "[topology]\nbuffer_bytes_per_gbps = -5\n"),
+        5, "buffer_bytes_per_gbps");
+  }
+  expect_rejected_at(
+      kind_config("dumbbell", "powertcp", "[topology]\nbuffer_kb = -5\n"), 5,
+      "buffer_kb");
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      kind_config("dumbbell", "powertcp", "[topology]\nbuffer_kb = 16\n"),
+      "ok.toml")));
+}
+
+TEST(Runner, RdcnTopologyKeysAreCheckedAtLoad) {
+  // servers_per_tor = 0 used to run and print empty tables; n_tors = 0
+  // and day_us = 0 failed only at run time, with no file:line.
+  const struct {
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {"n_tors", "0"},         {"n_tors", "1"},
+      {"n_tors", "3000000000"}, {"servers_per_tor", "0"},
+      {"day_us", "0"},         {"night_us", "-1"},
+  };
+  for (const auto& c : cases) {
+    const std::string topo =
+        std::string("[topology]\n") + c.key + " = " + c.value + "\n";
+    expect_rejected_at(kind_config("rdcn", "powertcp", topo), 5, c.key);
+  }
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      kind_config("rdcn", "powertcp",
+                  "[topology]\nn_tors = 2\nservers_per_tor = 1\n"
+                  "night_us = 0\n"),
+      "ok.toml")));
+}
+
 TEST(Runner, RateKeysMustBePositive) {
   // A zero line rate used to fail at run time with "schedule_at: time
   // ... is before now" and no file:line.

@@ -170,12 +170,28 @@ TEST_F(FlowFixture, SubMssFlowCompletes) {
   EXPECT_EQ(completions, 1);
 }
 
+TEST_F(FlowFixture, SmallDumbbellPointRunsAPinnedNumberOfEvents) {
+  // Two staggered 200 KB PowerTCP flows through one bottleneck. The
+  // count pins the event model: one event per hop when no packet waits
+  // behind the one on the wire, a finish event only when one does, and
+  // one queued start per host.
+  build(2);
+  int completions = 0;
+  const auto done = [&completions](const FlowCompletion&) { ++completions; };
+  start(0, 1, 200'000, "powertcp", 0, done);
+  start(1, 2, 200'000, "powertcp", sim::microseconds(20), done);
+  simulator.run_until(sim::milliseconds(2));
+  ASSERT_EQ(completions, 2);
+  EXPECT_EQ(simulator.events_executed(), 2206u);
+}
+
 // ---- pacing quantum ------------------------------------------------
 
 struct PacedRun {
   sim::TimePs fct = 0;
   std::int64_t received = 0;
   std::uint64_t events = 0;
+  std::uint64_t pacing_wakeups = 0;
 };
 
 /// One rate-paced (TIMELY) flow over an idle dumbbell under the given
@@ -195,10 +211,15 @@ PacedRun run_paced_flow(const FlowSenderConfig* cfg) {
   topo.receiver().set_data_callback(
       [&out](net::FlowId, std::int64_t b, sim::TimePs) { out.received += b; });
   const cc::CcFactory f = cc::make_factory("timely");
-  topo.sender(0).start_flow(1, topo.receiver().id(), 1'000'000, f(params),
-                            params, 0, [&out](const FlowCompletion& c) {
-                              out.fct = c.finish - c.start;
-                            });
+  // The host sweeps a completed sender after its completion callback,
+  // so the callback reads the sender's counters.
+  FlowSender* sender = nullptr;
+  sender = &topo.sender(0).start_flow(
+      1, topo.receiver().id(), 1'000'000, f(params), params, 0,
+      [&out, &sender](const FlowCompletion& c) {
+        out.fct = c.finish - c.start;
+        out.pacing_wakeups = sender->pacing_wakeups();
+      });
   simulator.run_until(sim::milliseconds(20));
   out.events = simulator.events_executed();
   return out;
@@ -215,6 +236,7 @@ TEST(PacingQuantum, ExplicitQuantumOneIsIdenticalToDefault) {
   EXPECT_EQ(q1.fct, dflt.fct);
   EXPECT_EQ(q1.events, dflt.events);
   EXPECT_EQ(q1.received, dflt.received);
+  EXPECT_EQ(q1.pacing_wakeups, dflt.pacing_wakeups);
 }
 
 TEST(PacingQuantum, QuantumGroupsTimerTicksWithoutChangingGoodput) {
@@ -228,9 +250,12 @@ TEST(PacingQuantum, QuantumGroupsTimerTicksWithoutChangingGoodput) {
   ASSERT_GT(q8.fct, 0);
   EXPECT_EQ(q8.received, q1.received);
   // Releasing 8 packets per timer tick retires most pacing-timer
-  // events; the per-packet edge advance keeps the long-run rate, so
-  // the transfer must not slow down materially.
-  EXPECT_LT(q8.events, q1.events);
+  // wakeups; the per-packet edge advance keeps the long-run rate, so
+  // the transfer must not slow down materially. (Total events are not
+  // the measure: back-to-back quanta queue packets behind the NIC,
+  // which then needs finish events an evenly paced flow skips.)
+  ASSERT_GT(q1.pacing_wakeups, 0u);
+  EXPECT_LT(q8.pacing_wakeups, q1.pacing_wakeups / 2);
   EXPECT_LT(q8.fct, q1.fct + q1.fct / 2);
 }
 

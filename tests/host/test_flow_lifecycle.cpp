@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cc/factory.hpp"
 #include "host/flow.hpp"
@@ -147,6 +148,86 @@ TEST_F(LifecycleFixture, TeardownBeforeFlowStartCancelsTheStartEvent) {
     t2.sender(0).start_flow(1, t2.receiver().id(), 10'000,
                             factory(p), p, sim::milliseconds(1));
   }
+  simulator.run();
+  EXPECT_EQ(simulator.events_executed(), 0u);
+}
+
+TEST_F(LifecycleFixture, OutOfOrderStartsRunInStartKeyOrder) {
+  build(1);
+  Host& h = topo->sender(0);
+  const net::NodeId dst = topo->receiver().id();
+  // Unstarted flows wait in the host's start list; only the earliest
+  // start is queued. A later call with an earlier time becomes the
+  // head; one between two queued starts is inserted in key order.
+  FlowSender& at10 = h.start_flow(1, dst, 10'000, factory(params), params,
+                                  sim::microseconds(10));
+  FlowSender& at5 = h.start_flow(2, dst, 10'000, factory(params), params,
+                                 sim::microseconds(5));
+  FlowSender& at20 = h.start_flow(3, dst, 10'000, factory(params), params,
+                                  sim::microseconds(20));
+  FlowSender& at15 = h.start_flow(4, dst, 10'000, factory(params), params,
+                                  sim::microseconds(15));
+  FlowSender& at15b = h.start_flow(5, dst, 10'000, factory(params), params,
+                                   sim::microseconds(15));
+  simulator.run_until(sim::microseconds(6));
+  EXPECT_TRUE(at5.started());
+  EXPECT_FALSE(at10.started());
+  EXPECT_EQ(at5.start_time(), sim::microseconds(5));
+  simulator.run_until(sim::microseconds(15));
+  EXPECT_EQ(at10.start_time(), sim::microseconds(10));
+  EXPECT_TRUE(at15.started());
+  EXPECT_TRUE(at15b.started());
+  EXPECT_FALSE(at20.started());
+  simulator.run_until(sim::microseconds(20));
+  EXPECT_TRUE(at20.started());
+}
+
+TEST_F(LifecycleFixture, SameTimeStartsInterleaveWithOtherEventsByKey) {
+  // A start at 5 us requested at setup sorts before an event scheduled
+  // afterwards for 5 us and after one scheduled before — exactly where
+  // an eagerly scheduled start event would.
+  build(1);
+  Host& h = topo->sender(0);
+  std::vector<int> seen;
+  simulator.schedule_at(sim::microseconds(5), [&] {
+    seen.push_back(h.sender(1)->started() ? 1 : 0);
+  });
+  h.start_flow(1, topo->receiver().id(), 10'000, factory(params), params,
+               sim::microseconds(5));
+  simulator.schedule_at(sim::microseconds(5), [&] {
+    seen.push_back(h.sender(1)->started() ? 1 : 0);
+  });
+  simulator.run_until(sim::microseconds(5));
+  EXPECT_EQ(seen, (std::vector<int>{0, 1}));
+}
+
+TEST_F(LifecycleFixture, StartInThePastThrowsAndLeavesNoSender) {
+  build(1);
+  simulator.run_until(sim::microseconds(10));
+  Host& h = topo->sender(0);
+  EXPECT_THROW(h.start_flow(1, topo->receiver().id(), 10'000, factory(params),
+                            params, sim::microseconds(5)),
+               std::invalid_argument);
+  EXPECT_EQ(h.active_senders(), 0u);
+  EXPECT_EQ(h.sender(1), nullptr);
+}
+
+TEST_F(LifecycleFixture,
+       DestroyingAHostWithUnstartedFlowsLeavesNothingPending) {
+  {
+    net::Network net2(simulator);
+    topo::Dumbbell t2(net2, cfg);
+    cc::FlowParams p;
+    p.host_bw = cfg.host_bw;
+    p.base_rtt = t2.base_rtt();
+    for (int i = 0; i < 4; ++i) {
+      t2.sender(0).start_flow(static_cast<net::FlowId>(i + 1),
+                              t2.receiver().id(), 10'000, factory(p), p,
+                              sim::milliseconds(4 - i));
+    }
+    EXPECT_TRUE(simulator.pending());
+  }
+  EXPECT_FALSE(simulator.pending());
   simulator.run();
   EXPECT_EQ(simulator.events_executed(), 0u);
 }

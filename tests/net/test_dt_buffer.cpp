@@ -33,10 +33,17 @@ TEST(DtSharedBuffer, SmallAlphaStarvesLongQueues) {
 }
 
 TEST(DtSharedBuffer, DequeueReleasesMemory) {
+  // A port files each release under its serialization's finish key;
+  // the bytes leave once that key has passed.
+  sim::Simulator s;
   DtSharedBuffer b(1'000, 1.0);
+  const int port = b.add_port(s);
   b.on_enqueue(1'000);
   EXPECT_FALSE(b.admits(0, 1));
-  b.on_dequeue(500);
+  b.release_at(port, s.reserve(sim::nanoseconds(10)), 500);
+  s.run_until(sim::nanoseconds(9));
+  EXPECT_FALSE(b.admits(0, 1));
+  s.run_until(sim::nanoseconds(10));
   EXPECT_TRUE(b.admits(0, 400));
   EXPECT_EQ(b.used_bytes(), 500);
 }

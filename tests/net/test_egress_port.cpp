@@ -42,11 +42,16 @@ Packet data_pkt(FlowId flow, std::int32_t payload) {
 struct PortFixture : ::testing::Test {
   sim::Simulator simulator;
   SinkNode sink{simulator, 0};
+  /// Standalone ports need a unique nonzero tie token, which orders
+  /// their deliveries (Node::attach_port installs one for attached
+  /// ports; these sit above the node-derived range).
+  std::uint32_t next_tie = 1u << 31;
 
   std::unique_ptr<BasicPort> make_port(sim::Bandwidth bw,
                                        sim::TimePs prop) {
     auto port = std::make_unique<BasicPort>(simulator, bw, prop,
                                             std::make_unique<FifoQueue>());
+    port->set_tie_token(next_tie++);
     port->set_peer(&sink, 3);
     port->use_pool(&sink.pool());  // a local delivery stays in one pool
     return port;
@@ -171,6 +176,64 @@ TEST_F(PortFixture, SharedBufferDropsWhenFull) {
   simulator.run();
   EXPECT_EQ(sink.arrivals.size(), 3u);
   EXPECT_EQ(buf.used_bytes(), 0);  // all released after transmission
+}
+
+TEST_F(PortFixture, SiblingAdmissionAtTheFinishPicosecondGetsTheEagerVerdict) {
+  // Ports a and b share a 1,500-byte buffer; a's 1,000-byte packet is
+  // charged to it until its serialization finishes at `fin`. A 1,000-B
+  // enqueue on b at `fin` fits only once a's bytes are gone — which,
+  // with a finish event, happens iff the finish key (fin, 0, 0, seq of
+  // a's start_tx) precedes the enqueue's key. Nothing waits behind a,
+  // so its finish is never queued: the buffer must settle by key.
+  auto a = make_port(sim::Bandwidth::gbps(1), 0);
+  auto b = make_port(sim::Bandwidth::gbps(1), 0);
+  DtSharedBuffer buf(1'500, 100.0);  // huge alpha: only capacity binds
+  a->set_shared_buffer(&buf);
+  b->set_shared_buffer(&buf);
+  const sim::TimePs fin = sim::Bandwidth::gbps(1).tx_time(1000);
+  int before = -1;
+  int after = -1;
+  // Scheduled before a's start_tx reserves the finish key: key just
+  // before it (same time and sched, smaller seq).
+  simulator.schedule_at(fin, [&] { before = b->enqueue(data_pkt(2, 952)); });
+  EXPECT_TRUE(a->enqueue(data_pkt(1, 952)));
+  EXPECT_EQ(buf.used_bytes(), 1000);
+  // Scheduled after it: key just after.
+  simulator.schedule_at(fin, [&] { after = b->enqueue(data_pkt(3, 952)); });
+  simulator.run_until(fin - 1);
+  EXPECT_TRUE(a->busy());
+  EXPECT_EQ(buf.used_bytes(), 1000);
+  simulator.run();
+  EXPECT_EQ(before, 0);  // a's bytes still held: 500 B free
+  EXPECT_EQ(after, 1);   // released at the finish key
+  EXPECT_FALSE(a->busy());
+  EXPECT_EQ(buf.used_bytes(), 0);
+  // Two enqueues, two deliveries: no finish event ran.
+  EXPECT_EQ(simulator.events_executed(), 4u);
+}
+
+TEST_F(PortFixture, FinishEventRunsOnlyWhenAPacketWaits) {
+  auto port = make_port(sim::Bandwidth::gbps(10), 0);
+  port->enqueue(data_pkt(1, 952));
+  simulator.run();
+  EXPECT_EQ(simulator.events_executed(), 1u);  // the delivery alone
+  EXPECT_FALSE(port->busy());
+  // Three back to back: the first two finishes start the next packet,
+  // the last one has nothing to do and is skipped.
+  for (int i = 0; i < 3; ++i) port->enqueue(data_pkt(2 + i, 952));
+  simulator.run();
+  EXPECT_EQ(simulator.events_executed(), 1u + 3u + 2u);
+  ASSERT_EQ(sink.arrivals.size(), 4u);
+  EXPECT_EQ(sink.arrivals[3].t - sink.arrivals[2].t,
+            sim::Bandwidth::gbps(10).tx_time(1000));
+}
+
+TEST_F(PortFixture, TransmittingWithoutATieTokenThrows) {
+  auto port = std::make_unique<BasicPort>(simulator, sim::Bandwidth::gbps(10),
+                                          0, std::make_unique<FifoQueue>());
+  port->set_peer(&sink, 0);
+  port->use_pool(&sink.pool());
+  EXPECT_THROW(port->enqueue(data_pkt(1, 952)), std::logic_error);
 }
 
 TEST_F(PortFixture, EcnStepMarkingAboveThreshold) {

@@ -254,7 +254,8 @@ struct TimerChurn {
   std::size_t at(TimePs t, std::uint32_t tie, void (TimerChurn::*body)(int),
                  int flow) {
     return add(t, s.now(), tie, [&](std::size_t i) {
-      return s.schedule_tied_at(t, tie, [this, i, body, flow] {
+      const EventKey key = s.reserve(t, s.now(), tie);
+      return s.schedule_reserved(key, [this, i, body, flow] {
         executed.push_back(keys[i]);
         note_tombstones();
         (this->*body)(flow);

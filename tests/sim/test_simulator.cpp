@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace powertcp::sim {
 namespace {
@@ -239,6 +242,154 @@ TEST(Simulator, RecursiveSchedulingChains) {
   s.run();
   EXPECT_EQ(count, 100);
   EXPECT_EQ(s.now(), nanoseconds(990));
+}
+
+// ---- reserved keys ------------------------------------------------
+
+/// One randomized schedule dense in same-picosecond ties: each event
+/// records its label and spawns one or two children 0-2 ns later, a
+/// quarter of them carrying a tie token. Eagerly, a child is queued
+/// the moment its key is reserved. Lazily, only its key is reserved at
+/// once; it is queued through schedule_reserved at the end of a random
+/// later event, and at the latest at the end of the last event that may
+/// run before it (when no queued event lies strictly earlier).
+std::vector<int> reserved_trace(std::uint64_t seed, bool lazy) {
+  Simulator s;
+  Rng shape(seed);     // the schedule itself: identical in both runs
+  Rng when(~seed);     // when a lazy key is queued
+  struct Deferred {
+    EventKey key;
+    int label;
+  };
+  std::vector<Deferred> deferred;
+  std::vector<int> trace;
+  int next_label = 0;
+  std::function<void(int)> fire;
+  const auto spawn = [&] {
+    const TimePs t = s.now() + nanoseconds(shape.uniform_int(0, 2));
+    const auto tie = static_cast<std::uint32_t>(
+        shape.uniform_int(0, 3) == 0 ? shape.uniform_int(1, 3) : 0);
+    const int label = next_label++;
+    if (lazy) {
+      deferred.push_back({s.reserve(t, s.now(), tie), label});
+    } else {
+      s.schedule_reserved(s.reserve(t, s.now(), tie),
+                          [&fire, label] { fire(label); });
+    }
+  };
+  const auto queue_due = [&] {
+    const TimePs next = s.next_event_time();
+    for (std::size_t i = 0; i < deferred.size();) {
+      if (deferred[i].key.time <= next || when.uniform_int(0, 1) == 0) {
+        const int label = deferred[i].label;
+        s.schedule_reserved(deferred[i].key, [&fire, label] { fire(label); });
+        deferred.erase(deferred.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+  };
+  fire = [&](int label) {
+    trace.push_back(label);
+    if (next_label < 3000) {
+      for (std::int64_t n = shape.uniform_int(1, 2); n > 0; --n) spawn();
+    }
+    if (lazy) queue_due();
+  };
+  for (int i = 0; i < 8; ++i) spawn();
+  if (lazy) queue_due();
+  s.run();
+  EXPECT_TRUE(deferred.empty());
+  return trace;
+}
+
+TEST(ReservedKey, LateScheduleRunsWhereTheEagerOneWould) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::vector<int> eager = reserved_trace(seed, false);
+    ASSERT_GE(eager.size(), 3000u) << "seed " << seed;
+    EXPECT_EQ(reserved_trace(seed, true), eager) << "seed " << seed;
+  }
+}
+
+TEST(ReservedKey, ReserveConsumesTheSeqAnEagerScheduleWould) {
+  // A reserved key sorts before everything scheduled after it at the
+  // same (time, sched, tie), and after everything scheduled before.
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(nanoseconds(5), [&] { order.push_back(1); });
+  const EventKey key = s.reserve(nanoseconds(5));
+  s.schedule_at(nanoseconds(5), [&] { order.push_back(3); });
+  s.schedule_at(nanoseconds(1), [&] {
+    s.schedule_reserved(key, [&] { order.push_back(2); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(ReservedKey, KeyThatPrecedesTheRunningEventThrows) {
+  Simulator s;
+  const EventKey early = s.reserve(nanoseconds(5));
+  bool threw = false;
+  s.schedule_at(nanoseconds(10), [&] {
+    EXPECT_TRUE(s.passed(early));
+    try {
+      s.schedule_reserved(early, [] {});
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+  });
+  s.run();
+  EXPECT_TRUE(threw);
+  // Same picosecond: a key reserved before the running event and
+  // sorting before it has passed too.
+  Simulator t;
+  const EventKey same = t.reserve(nanoseconds(5));
+  t.schedule_at(nanoseconds(5), [&] {
+    EXPECT_TRUE(t.passed(same));
+    EXPECT_THROW(t.schedule_reserved(same, [] {}), std::invalid_argument);
+  });
+  t.run();
+  EXPECT_THROW(t.reserve(nanoseconds(4)), std::invalid_argument);
+  EXPECT_THROW(t.reserve(nanoseconds(9), nanoseconds(10)),
+               std::invalid_argument);
+}
+
+TEST(ReservedKey, KeyReservedByTheRunningEventHasNotPassed) {
+  // A tied event at (5 ns, sched 5 ns, tie 7) reserves a tie-0 key at
+  // the same picosecond: it sorts before the running event, but an
+  // eager event with that key would run next, so it has not passed.
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(nanoseconds(5), [&] {
+    s.schedule_reserved(s.reserve(nanoseconds(5), nanoseconds(5), 7), [&] {
+      order.push_back(1);
+      const EventKey k = s.reserve(nanoseconds(5));
+      EXPECT_FALSE(s.passed(k));
+      s.schedule_reserved(k, [&] { order.push_back(2); });
+    });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(ReservedKey, RunUntilPassesEveryEarlierReservedKey) {
+  Simulator s;
+  const EventKey at5 = s.reserve(nanoseconds(5));
+  const EventKey at9 = s.reserve(nanoseconds(9));
+  EXPECT_FALSE(s.passed(at5));
+  s.run_until(nanoseconds(5));
+  EXPECT_TRUE(s.passed(at5));
+  EXPECT_FALSE(s.passed(at9));
+  // A key reserved after run_until(5) at 5 ns is still ahead: an eager
+  // schedule_at(5 ns) here would run on the next run call.
+  int fired = 0;
+  const EventKey fresh = s.reserve(nanoseconds(5));
+  EXPECT_FALSE(s.passed(fresh));
+  s.schedule_reserved(fresh, [&] { ++fired; });
+  s.run_until(nanoseconds(9));
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(s.passed(at9));
+  EXPECT_FALSE(s.pending());
 }
 
 TEST(TimeHelpers, UnitConversionsAreExact) {
